@@ -67,7 +67,7 @@ fn bench_revocation_gamma(c: &mut Criterion) {
 }
 
 fn bench_chip_level_handshake(c: &mut Criterion) {
-    use jrsnd::chiplink::run_handshake;
+    use jrsnd::chiplink::{run_link, LinkOptions, LinkPools, LinkSpec};
     use jrsnd_crypto::ibc::Authority;
     use jrsnd_dsss::code::SpreadCode;
     let mut params = Params::table1();
@@ -84,8 +84,21 @@ fn bench_chip_level_handshake(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(run_handshake(
-                &params, &authority, &a_codes, &b_codes, 0, 1, None, seed,
+            let spec = LinkSpec {
+                a_codes: &a_codes,
+                b_codes: &b_codes,
+                shared_a: 0,
+                shared_b: 1,
+                jammer: None,
+                seed,
+            };
+            // Fresh pools per iteration: the cold per-handshake cost.
+            black_box(run_link(
+                &params,
+                &authority,
+                &spec,
+                &LinkOptions::default(),
+                &mut LinkPools::new(&params),
             ))
         })
     });

@@ -8,16 +8,24 @@
 //! (`jrsnd_crypto`). The Monte-Carlo driver abstracts these steps into
 //! per-message jam probabilities; this path validates that abstraction on
 //! real chips.
+//!
+//! The handshake itself is one step machine, `Link`: broadcast HELLO,
+//! hear HELLO, then one CONFIRM / AUTH_A / AUTH_B exchange per step. Two
+//! drivers run it: [`run_link`] (one session on its own channel, with a
+//! retry budget and optional fault injection) and the batch engine in
+//! [`crate::engine`] (many sessions sharing one medium per shard). Both
+//! keep their retry bookkeeping in `Attempts`, and both draw their
+//! scratch from one [`LinkPools`].
 
-use crate::handshake::{Initiator, Responder};
-use crate::messages::{FrameCodec, WireConfig};
+use crate::handshake::{Established, Initiator, Responder};
+use crate::messages::{FrameCodec, MessageKind, WireConfig};
 use crate::params::Params;
 use crate::wire::WireFormat;
 use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
-use jrsnd_dsss::correlate::{BankScanner, MultiCorrelator};
+use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
 use jrsnd_dsss::spread::{despread_from_channel, spread};
 use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
 use jrsnd_sim::faults::FaultInjector;
@@ -25,6 +33,18 @@ use jrsnd_sim::retry::RetryPolicy;
 use jrsnd_sim::rng::SimRng;
 use jrsnd_sim::{metric_counter, metric_histogram};
 use rand::{Rng, SeedableRng};
+
+/// Attempt re-keying increment: attempt `k` of a session runs on
+/// `seed ^ (k − 1)·ATTEMPT_SALT`.
+const ATTEMPT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Backoff-jitter stream salt.
+const BACKOFF_SALT: u64 = 0xBACC_0FF5;
+/// Channel seed salt. The medium is noiseless, so the seed only keys the
+/// injected-fault stream.
+pub(crate) const MEDIUM_SALT: u64 = 0x1111;
+
+/// Session-code cache capacity of a [`LinkPools`].
+const SESSION_CACHE_CAPACITY: usize = 1024;
 
 /// How the chip-level jammer behaves during the handshake.
 #[derive(Debug, Clone)]
@@ -88,6 +108,112 @@ pub enum Stage {
     Complete,
 }
 
+/// One single-link session for [`run_link`]: each party's
+/// pre-distributed codes, where the shared code sits in each set, the
+/// jammer, and the session seed.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkSpec<'a> {
+    /// A's pre-distributed codes.
+    pub a_codes: &'a [SpreadCode],
+    /// B's pre-distributed codes.
+    pub b_codes: &'a [SpreadCode],
+    /// Index in `a_codes` of the code shared with B.
+    pub shared_a: usize,
+    /// Index in `b_codes` of the same shared code.
+    pub shared_b: usize,
+    /// Optional reactive jammer, attacking from its `first_message` on.
+    pub jammer: Option<&'a ChipJammer>,
+    /// Session seed: nonces, jam garbage, backoff jitter, and the fault
+    /// stream all derive from it.
+    pub seed: u64,
+}
+
+/// Retry, fault, and wire-format settings of a [`run_link`] session.
+/// The default is one attempt on a clean channel in the legacy format.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkOptions {
+    /// Retry/backoff budget.
+    pub retry: RetryPolicy,
+    /// Chip-layer fault injection on the session channel.
+    pub faults: Option<FaultInjector>,
+    /// Wire codec the frames run through. `Packed` sends fewer bits per
+    /// frame (fewer chips on the air) with identical crypto and RNG draws.
+    pub format: WireFormat,
+}
+
+impl Default for LinkOptions {
+    fn default() -> Self {
+        LinkOptions {
+            retry: RetryPolicy::none(),
+            faults: None,
+            format: WireFormat::Legacy,
+        }
+    }
+}
+
+/// Reusable capacity for chip-level handshakes: the ECC codec, the
+/// session-code cache, and every staging buffer. A driver running many
+/// handshakes threads one `&mut LinkPools` through all of them. Pools
+/// change work, never outcomes: a fresh and a warm `LinkPools` produce
+/// identical reports.
+#[derive(Debug)]
+pub struct LinkPools {
+    codec: FrameCodec,
+    /// Both endpoints resolve `C_AB` through it, so the second endpoint of
+    /// each pair reuses the first derivation.
+    cache: SessionCodeCache,
+    /// The HELLO frame before ECC.
+    hello: Vec<bool>,
+    /// ECC-coded bits of the message on the air.
+    coded: Vec<bool>,
+    /// Jam bits.
+    garbage: Vec<bool>,
+    /// ECC-decoded bits of the message just received.
+    decoded: Vec<bool>,
+    frame: Frame,
+    scan: ScanScratch,
+    /// The rendered HELLO window(s) and their prefix sums.
+    render: Vec<i32>,
+    prefix: PrefixSums,
+}
+
+impl LinkPools {
+    /// Empty pools for handshakes under `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.mu` is not a valid expansion factor.
+    pub fn new(params: &Params) -> Self {
+        LinkPools {
+            codec: FrameCodec::new(params.mu).expect("mu validated"),
+            cache: SessionCodeCache::new(SESSION_CACHE_CAPACITY),
+            hello: Vec::new(),
+            coded: Vec::new(),
+            garbage: Vec::new(),
+            decoded: Vec::new(),
+            frame: Frame {
+                bits: Vec::new(),
+                erased: Vec::new(),
+            },
+            scan: ScanScratch::new(),
+            render: Vec::new(),
+            prefix: PrefixSums::new(),
+        }
+    }
+
+    /// Renders `len` chips of `channel` from chip `start` and computes
+    /// their prefix sums: the window every [`Link::hear_hello`] scans.
+    pub(crate) fn render(&mut self, channel: &ChipChannel, start: u64, len: usize) {
+        channel.render_into(&mut self.render, start, len);
+        self.prefix.compute(&self.render);
+    }
+
+    /// Capacity of the render buffer, in chips.
+    pub(crate) fn render_capacity(&self) -> usize {
+        self.render.capacity()
+    }
+}
+
 /// A persistent chip medium carrying one session: every message of the
 /// handshake — and every retry attempt — shares this channel at advancing
 /// chip offsets, and [`LinkMedium::advance`] retires transmissions that
@@ -127,235 +253,367 @@ impl LinkMedium {
     }
 }
 
-/// Transmits `coded` spread with `code` at absolute chip `start`, with
-/// `jammer` (if any) covering the tail of the transmission, then
-/// despreads the window back off the channel through the fused
-/// render→despread path.
-#[allow(clippy::too_many_arguments)]
-fn exchange_on(
-    channel: &mut ChipChannel,
-    start: u64,
-    coded: &[bool],
-    code: &SpreadCode,
-    jammer: Option<&ChipJammer>,
-    message_index: usize,
+/// One leg's retry bookkeeping: attempt-seed derivation, backoff jitter,
+/// and the `retry.attempts` / `session.timeouts` / `session.degraded`
+/// counters. Both drivers book their attempts here.
+#[derive(Debug, Clone)]
+pub(crate) struct Attempts {
+    seed: u64,
+    backoff_rng: SimRng,
+    /// Attempts begun so far.
+    pub(crate) made: u32,
+    /// Backoff waited before those attempts, in seconds.
+    pub(crate) backoff_s: f64,
+}
+
+impl Attempts {
+    pub(crate) fn new(seed: u64) -> Self {
+        Attempts {
+            seed,
+            backoff_rng: SimRng::seed_from_u64(seed ^ BACKOFF_SALT),
+            made: 0,
+            backoff_s: 0.0,
+        }
+    }
+
+    /// Begins the next attempt after its backoff wait and returns its
+    /// seed. Attempt 1 reuses the session seed unchanged; later attempts
+    /// re-key nonces and jam garbage.
+    pub(crate) fn begin(&mut self, retry: &RetryPolicy) -> u64 {
+        self.made += 1;
+        self.backoff_s += retry.backoff_delay(self.made, &mut self.backoff_rng);
+        metric_counter!("retry.attempts").inc();
+        self.seed ^ u64::from(self.made - 1).wrapping_mul(ATTEMPT_SALT)
+    }
+
+    /// Books a failed attempt (its sub-session timed out) and returns
+    /// whether the budget allows another.
+    pub(crate) fn retry_after_failure(&mut self, retry: &RetryPolicy) -> bool {
+        metric_counter!("session.timeouts").inc();
+        self.made < retry.max_attempts.max(1)
+    }
+
+    /// Closes the leg and returns whether it is degraded: it exhausted
+    /// its budget without discovering — a partial outcome, never an abort.
+    pub(crate) fn close(&self, discovered: bool) -> bool {
+        if !discovered {
+            metric_counter!("session.degraded").inc();
+        }
+        !discovered
+    }
+}
+
+/// One handshake attempt between A (`NodeId(1)`) and B (`NodeId(2)`) as a
+/// step machine: [`Link::broadcast_hello`], [`Link::hear_hello`], then
+/// [`Link::exchange`] until it returns the attempt's report. It owns the
+/// attempt's RNG — nonces and jam garbage draw from it in protocol order
+/// — and everything the endpoints carry between messages.
+pub(crate) struct Link {
+    rng: SimRng,
+    initiator: Initiator,
+    responder: Responder,
+    wire: WireConfig,
+    format: WireFormat,
     tau: f64,
     chip_rate: f64,
-    rng: &mut SimRng,
-    garbage: &mut Vec<bool>,
-) -> (Vec<bool>, Vec<bool>) {
-    let n = code.len();
-    channel.transmit(start, spread(coded, code), 1);
-    if let Some(j) = jammer.filter(|j| j.attacks(message_index)) {
-        // Reactive jammer: chip-synchronized garbage over the tail
-        // `fraction` of the message, aligned to bit boundaries.
-        let jam_bits_count = ((coded.len() as f64) * j.fraction).round() as usize;
-        if jam_bits_count > 0 {
-            let start_bit = coded.len() - jam_bits_count;
-            garbage.clear();
-            garbage.extend((0..jam_bits_count).map(|_| rng.gen::<bool>()));
-            record_jam(start_bit, jam_bits_count, n, chip_rate);
+    /// HELLO length before and after ECC, in bits.
+    hello_bits: usize,
+    hello_coded: usize,
+    /// The code B heard the HELLO on.
+    code_id: CodeId,
+    /// The frame the next exchange carries.
+    pending: Vec<bool>,
+    /// Its message index (1 = CONFIRM, 2 = AUTH_A, 3 = AUTH_B).
+    message: usize,
+    /// B's session state, set once it accepts AUTH_A.
+    est_b: Option<Established>,
+    scan_correlations: u64,
+    sync_retries: u64,
+}
+
+impl Link {
+    /// A fresh attempt keyed by `seed`: the endpoints draw their nonces
+    /// from the attempt RNG here.
+    pub(crate) fn new(
+        params: &Params,
+        authority: &Authority,
+        format: WireFormat,
+        seed: u64,
+    ) -> Self {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let wire = WireConfig::from_params(params);
+        // The protocol semantics live in the handshake endpoints; the
+        // step machine is the radio layer around them.
+        let initiator = Initiator::new_with_format(
+            authority.issue(NodeId(1)),
+            wire,
+            format,
+            params.n_chips,
+            &mut rng,
+        );
+        let responder = Responder::new_with_format(
+            authority.issue(NodeId(2)),
+            wire,
+            format,
+            params.n_chips,
+            256,
+            &mut rng,
+        );
+        Link {
+            rng,
+            initiator,
+            responder,
+            wire,
+            format,
+            tau: params.tau,
+            chip_rate: params.chip_rate,
+            hello_bits: 0,
+            hello_coded: 0,
+            code_id: CodeId(0),
+            pending: Vec::new(),
+            message: 1,
+            est_b: None,
+            scan_correlations: 0,
+            sync_retries: 0,
+        }
+    }
+
+    /// Message 1: A broadcasts {HELLO, ID_A} once per code in `a_codes`,
+    /// at consecutive message windows from absolute chip `base`; the
+    /// jammer (if it attacks the HELLO) covers the tail of every copy.
+    /// Returns the chips spanned. The caller renders that window into the
+    /// pools ([`LinkPools::render`]) for [`Link::hear_hello`].
+    pub(crate) fn broadcast_hello(
+        &mut self,
+        a_codes: &[&SpreadCode],
+        jammer: Option<&ChipJammer>,
+        channel: &mut ChipChannel,
+        base: u64,
+        pools: &mut LinkPools,
+    ) -> u64 {
+        match self.format {
+            WireFormat::Legacy => pools.hello = self.initiator.hello_frame(),
+            // A always speaks as NodeId(1), so the packed HELLO renders
+            // through the codec's pooled wire scratch with no allocation.
+            WireFormat::Packed => pools
+                .codec
+                .hello_packed(&self.wire, MessageKind::Hello, NodeId(1), &mut pools.hello)
+                .expect("own id fits"),
+        }
+        pools
+            .codec
+            .encode_into(&pools.hello, &mut pools.coded)
+            .expect("non-empty");
+        self.hello_bits = pools.hello.len();
+        self.hello_coded = pools.coded.len();
+        let n = a_codes[0].len();
+        let msg_chips = (pools.coded.len() * n) as u64;
+        for (copy, code) in a_codes.iter().enumerate() {
             channel.transmit(
-                start + (start_bit * n) as u64,
-                spread(garbage, &j.code),
-                j.amplitude,
+                base + copy as u64 * msg_chips,
+                spread(&pools.coded, code),
+                1,
             );
         }
-    }
-    // Fused render→despread: the receiver is bit-synchronized to its own
-    // frame, so each bit window is rendered straight into the correlator
-    // without materialising the full sample vector. Decisions are
-    // bit-identical to render-then-`decode_frame`.
-    despread_from_channel(channel, start, code, coded.len(), tau)
-}
-
-/// Transmits `message_bits` ECC-coded and spread with `code` onto a
-/// channel segment — a fresh channel when `medium` is `None` (the legacy
-/// one-shot path), or the session's persistent [`LinkMedium`] at its
-/// cursor — with `jammer` (if any) covering the tail of the transmission,
-/// then receives it back through ECC decoding.
-///
-/// `coded_buf` is a caller-owned staging buffer for the coded bits, and
-/// `garbage` stages any jam bits, both reused across the handshake's
-/// messages; the ECC itself runs through `codec`'s shared scratch, so the
-/// per-message ECC work is allocation-free.
-///
-/// Writes the decoded bits into `decoded` and returns whether the ECC
-/// recovered the frame (`decoded` holds garbage on `false`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn transmit_and_receive(
-    message_bits: &[bool],
-    code: &SpreadCode,
-    codec: &mut FrameCodec,
-    coded_buf: &mut Vec<bool>,
-    jammer: Option<&ChipJammer>,
-    message_index: usize,
-    tau: f64,
-    chip_rate: f64,
-    noise_seed: u64,
-    medium: Option<&mut LinkMedium>,
-    rng: &mut SimRng,
-    garbage: &mut Vec<bool>,
-    decoded: &mut Vec<bool>,
-) -> bool {
-    codec
-        .encode_into(message_bits, coded_buf)
-        .expect("non-empty message");
-    let n = code.len();
-    let (bits, erased) = match medium {
-        Some(m) => {
-            let start = m.cursor;
-            let result = exchange_on(
-                &mut m.channel,
-                start,
-                coded_buf,
-                code,
-                jammer,
-                message_index,
-                tau,
-                chip_rate,
-                rng,
-                garbage,
-            );
-            m.advance((coded_buf.len() * n) as u64);
-            result
-        }
-        None => {
-            let mut channel = ChipChannel::new(noise_seed);
-            exchange_on(
-                &mut channel,
-                0,
-                coded_buf,
-                code,
-                jammer,
-                message_index,
-                tau,
-                chip_rate,
-                rng,
-                garbage,
-            )
-        }
-    };
-    let ok = codec
-        .decode_into(&bits, &erased, message_bits.len(), decoded)
-        .is_ok();
-    if ok {
-        metric_counter!("dsss.frames_decoded").inc();
-    } else {
-        metric_counter!("dsss.frames_failed").inc();
-    }
-    ok
-}
-
-/// Broadcasts one HELLO copy per code in `a_codes` at consecutive message
-/// windows starting at absolute chip `base`, with `jammer` (if any)
-/// covering the tail of every copy. This is message 1 of the handshake,
-/// shared verbatim by the one-session driver below and the batch engine;
-/// the caller renders the spanned window and scans it with [`scan_hello`].
-///
-/// `garbage` stages the jam bits (the random draws from `rng` are
-/// identical to an unpooled collect).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn transmit_hello(
-    channel: &mut ChipChannel,
-    base: u64,
-    hello_coded: &[bool],
-    a_codes: &[&SpreadCode],
-    jammer: Option<&ChipJammer>,
-    chip_rate: f64,
-    rng: &mut SimRng,
-    garbage: &mut Vec<bool>,
-) {
-    let n = a_codes[0].len();
-    let msg_chips = hello_coded.len() * n;
-    let mut offset = base;
-    for code in a_codes {
-        channel.transmit(offset, spread(hello_coded, code), 1);
-        offset += msg_chips as u64;
-    }
-    if let Some(j) = jammer.filter(|j| j.attacks(0)) {
-        // Reactive jammer: covers the tail `fraction` of every HELLO
-        // copy, chip-synchronized (the paper grants the jammer chip
-        // sync).
-        let jam_bits = ((hello_coded.len() as f64) * j.fraction).round() as usize;
-        if jam_bits > 0 {
+        if let Some(j) = jammer.filter(|j| j.attacks(0)) {
             for copy in 0..a_codes.len() {
-                let start_bit = copy * hello_coded.len() + (hello_coded.len() - jam_bits);
-                garbage.clear();
-                garbage.extend((0..jam_bits).map(|_| rng.gen::<bool>()));
-                record_jam(hello_coded.len() - jam_bits, jam_bits, n, chip_rate);
-                channel.transmit(
-                    base + (start_bit * n) as u64,
-                    spread(garbage, &j.code),
-                    j.amplitude,
+                let start = base + copy as u64 * msg_chips;
+                self.jam_tail(channel, start, pools.coded.len(), n, j, &mut pools.garbage);
+            }
+        }
+        msg_chips * a_codes.len() as u64
+    }
+
+    /// B's receive side of message 1: the sliding-window scan with B's
+    /// code `bank` over the rendered window `rel..rel + span` of the
+    /// pools. The receiver keeps scanning past failed candidates — a
+    /// noise-induced sync or an undecodable (jammed) frame must not stop
+    /// it from finding a later clean copy in the same buffer. Only a
+    /// valid HELLO on B's `shared_b` code is answered.
+    ///
+    /// Returns the attempt's final report if no HELLO was recovered.
+    pub(crate) fn hear_hello(
+        &mut self,
+        bank: &MultiCorrelator<'_>,
+        rel: usize,
+        span: usize,
+        shared_b: usize,
+        pools: &mut LinkPools,
+    ) -> Option<HandshakeReport> {
+        let mut scanner = bank.scanner_in(&pools.render[rel..rel + span], &pools.prefix, rel);
+        let n = bank.code_len();
+        let mut confirm = None;
+        let mut pos = 0usize;
+        metric_counter!("chiplink.handshakes").inc();
+        while pos + n <= span {
+            let Some(h) = scan_from_with(&mut scanner, pos, self.tau, &mut pools.scan) else {
+                metric_counter!("dsss.sync_misses").inc();
+                break;
+            };
+            metric_counter!("dsss.sync_hits").inc();
+            self.scan_correlations += h.correlations_computed;
+            let code = bank.codes()[h.code_index];
+            let decoded = decode_frame_into(
+                scanner.samples(),
+                h.offset,
+                code,
+                self.hello_coded,
+                self.tau,
+                &mut pools.frame,
+            ) && pools
+                .codec
+                .decode_into(
+                    &pools.frame.bits,
+                    &pools.frame.erased,
+                    self.hello_bits,
+                    &mut pools.decoded,
+                )
+                .is_ok();
+            if decoded && h.code_index == shared_b {
+                self.code_id = CodeId(shared_b as u32);
+                if let Ok(frame) = self.responder.on_hello(&pools.decoded, self.code_id) {
+                    confirm = Some(frame);
+                    break;
+                }
+            }
+            // Skip one bit period: the refinement already searched this window.
+            self.sync_retries += 1;
+            pos = h.offset + n;
+        }
+        metric_counter!("dsss.scan_correlations").add(self.scan_correlations);
+        metric_counter!("dsss.sync_retries").add(self.sync_retries);
+        let Some(frame) = confirm else {
+            return Some(self.report(false, Stage::NoHello));
+        };
+        self.pending = frame;
+        None
+    }
+
+    /// One exchange of the pending message (CONFIRM, AUTH_A, or AUTH_B)
+    /// on `medium` at its cursor: ECC-encode, spread with the shared
+    /// `code`, let the jammer (if it attacks this message) cover the tail,
+    /// despread through the fused render→despread path, ECC-decode, and
+    /// hand the bits to the receiving endpoint.
+    ///
+    /// Returns the attempt's final report once it completes or fails,
+    /// `None` while messages remain.
+    pub(crate) fn exchange(
+        &mut self,
+        code: &SpreadCode,
+        jammer: Option<&ChipJammer>,
+        medium: &mut LinkMedium,
+        pools: &mut LinkPools,
+    ) -> Option<HandshakeReport> {
+        pools
+            .codec
+            .encode_into(&self.pending, &mut pools.coded)
+            .expect("non-empty message");
+        let n = code.len();
+        let start = medium.cursor;
+        medium
+            .channel
+            .transmit(start, spread(&pools.coded, code), 1);
+        if let Some(j) = jammer.filter(|j| j.attacks(self.message)) {
+            let coded_len = pools.coded.len();
+            self.jam_tail(
+                &mut medium.channel,
+                start,
+                coded_len,
+                n,
+                j,
+                &mut pools.garbage,
+            );
+        }
+        // The receiver is bit-synchronized to its own frame, so each bit
+        // window is rendered straight into the correlator without
+        // materialising the full sample vector.
+        let (bits, erased) =
+            despread_from_channel(&medium.channel, start, code, pools.coded.len(), self.tau);
+        medium.advance((pools.coded.len() * n) as u64);
+        let received = pools
+            .codec
+            .decode_into(&bits, &erased, self.pending.len(), &mut pools.decoded)
+            .is_ok();
+        if received {
+            metric_counter!("dsss.frames_decoded").inc();
+        } else {
+            metric_counter!("dsss.frames_failed").inc();
+        }
+        let failed_at =
+            [Stage::NoConfirm, Stage::AuthAFailed, Stage::AuthBFailed][self.message - 1];
+        if !received {
+            return Some(self.report(false, failed_at));
+        }
+        let decoded = &pools.decoded;
+        let next = match self.message {
+            // Message 2: B -> A {CONFIRM, ID_B}; A answers with AUTH_A.
+            1 => self.initiator.on_confirm(decoded, self.code_id).ok(),
+            // Message 3: A -> B {ID_A, n_A, f_{K_AB}(ID_A | n_A)}; B
+            // answers with AUTH_B and holds its session code.
+            2 => self
+                .responder
+                .on_auth_a_cached(decoded, &mut pools.cache)
+                .ok()
+                .map(|(auth_b, est_b)| {
+                    self.est_b = Some(est_b);
+                    auth_b
+                }),
+            // Message 4: B -> A {ID_B, n_B, f_{K_BA}(ID_B | n_B)}; both
+            // sides now hold the session spread code and must agree.
+            _ => {
+                let Ok(est_a) = self.initiator.on_auth_b_cached(decoded, &mut pools.cache) else {
+                    return Some(self.report(false, failed_at));
+                };
+                let est_b = self.est_b.as_ref().expect("set at AUTH_A");
+                return Some(
+                    self.report(est_a.session_code == est_b.session_code, Stage::Complete),
                 );
             }
-        }
-    }
-}
-
-/// B's receive side of message 1: the sliding-window scan over its whole
-/// rendered buffering window. The receiver keeps scanning past failed
-/// candidates — a noise-induced sync or an undecodable (jammed) frame must
-/// not stop it from finding a later clean copy in the same buffer.
-///
-/// Returns B's CONFIRM frame (if a valid HELLO was recovered), the
-/// correlations evaluated, and the sync candidates discarded. Shared
-/// verbatim by the one-session driver and the batch engine;
-/// `hello_decoded`/`frame`/`scan` are caller-pooled scratch with no effect
-/// on decisions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_hello(
-    scanner: &mut BankScanner<'_, '_>,
-    shared_b: usize,
-    hello_coded_len: usize,
-    hello_bits_len: usize,
-    tau: f64,
-    codec: &mut FrameCodec,
-    responder: &mut Responder,
-    hello_decoded: &mut Vec<bool>,
-    frame: &mut Frame,
-    scan: &mut ScanScratch,
-) -> (Option<Vec<bool>>, u64, u64) {
-    let n = scanner.bank().code_len();
-    let buffer_len = scanner.samples().len();
-    let mut scan_correlations = 0u64;
-    let mut sync_retries = 0u64;
-    let mut confirm_frame: Option<Vec<bool>> = None;
-    let mut pos = 0usize;
-    metric_counter!("chiplink.handshakes").inc();
-    while pos + n <= buffer_len {
-        let Some(h) = scan_from_with(scanner, pos, tau, scan) else {
-            metric_counter!("dsss.sync_misses").inc();
-            break;
         };
-        metric_counter!("dsss.sync_hits").inc();
-        scan_correlations += h.correlations_computed;
-        let abs_offset = h.offset;
-        let code = scanner.bank().codes()[h.code_index];
-        let decoded = decode_frame_into(
-            scanner.samples(),
-            abs_offset,
-            code,
-            hello_coded_len,
-            tau,
-            frame,
-        ) && codec
-            .decode_into(&frame.bits, &frame.erased, hello_bits_len, hello_decoded)
-            .is_ok();
-        if decoded && h.code_index == shared_b {
-            if let Ok(confirm) = responder.on_hello(hello_decoded, CodeId(shared_b as u32)) {
-                confirm_frame = Some(confirm);
-                break;
-            }
-        }
-        // Skip one bit period: the refinement already searched this window.
-        sync_retries += 1;
-        pos = abs_offset + n;
+        let Some(frame) = next else {
+            return Some(self.report(false, failed_at));
+        };
+        self.pending = frame;
+        self.message += 1;
+        None
     }
-    metric_counter!("dsss.scan_correlations").add(scan_correlations);
-    metric_counter!("dsss.sync_retries").add(sync_retries);
-    (confirm_frame, scan_correlations, sync_retries)
+
+    /// Reactive jammer: chip-synchronized garbage from the attempt RNG over
+    /// the tail `fraction` of the `coded_len`-bit message window that
+    /// starts at chip `start`, aligned to bit boundaries (the paper grants
+    /// the jammer chip sync).
+    fn jam_tail(
+        &mut self,
+        channel: &mut ChipChannel,
+        start: u64,
+        coded_len: usize,
+        n: usize,
+        j: &ChipJammer,
+        garbage: &mut Vec<bool>,
+    ) {
+        let jam_bits = ((coded_len as f64) * j.fraction).round() as usize;
+        if jam_bits == 0 {
+            return;
+        }
+        let start_bit = coded_len - jam_bits;
+        garbage.clear();
+        garbage.extend((0..jam_bits).map(|_| self.rng.gen::<bool>()));
+        record_jam(start_bit, jam_bits, n, self.chip_rate);
+        channel.transmit(
+            start + (start_bit * n) as u64,
+            spread(garbage, &j.code),
+            j.amplitude,
+        );
+    }
+
+    fn report(&self, discovered: bool, stage: Stage) -> HandshakeReport {
+        HandshakeReport {
+            discovered,
+            stage,
+            scan_correlations: self.scan_correlations,
+            sync_retries: self.sync_retries,
+        }
+    }
 }
 
 /// Accounts one jam burst: chips covered, plus the jammer's reaction
@@ -368,140 +626,8 @@ fn record_jam(start_bit: usize, jam_bits: usize, n: usize, chip_rate: f64) {
         .record(start_bit as f64 * n as f64 / chip_rate);
 }
 
-/// Runs the full four-message D-NDP handshake between `A` and `B` at chip
-/// level.
-///
-/// `a_codes`/`b_codes` are each party's pre-distributed codes;
-/// `shared_index` selects the code common to both (in both slices).
-/// `jammer` (if any) attacks every message of the handshake.
-///
-/// A broadcasts one HELLO per code (one D-NDP round); B locates it with a
-/// sliding-window scan across **all** of ℂ_B, exactly as the paper's
-/// receiver does.
-///
-/// # Panics
-///
-/// Panics if the shared index is out of range or the code sets are empty.
-#[allow(clippy::too_many_arguments)] // the handshake's full cast of characters
-pub fn run_handshake(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-) -> HandshakeReport {
-    let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-    run_handshake_with(
-        params, authority, a_codes, b_codes, shared_a, shared_b, jammer, seed, &mut codec,
-    )
-}
-
-/// [`run_handshake`] with a caller-owned [`FrameCodec`], so a driver
-/// running many handshakes (the Monte-Carlo `chiplevel` experiment) reuses
-/// one set of ECC scratch buffers across all of them. Results are
-/// identical to [`run_handshake`] — the codec carries no cross-call state,
-/// only capacity.
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_with(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-) -> HandshakeReport {
-    run_handshake_inner(
-        params,
-        authority,
-        a_codes,
-        b_codes,
-        shared_a,
-        shared_b,
-        jammer,
-        seed,
-        codec,
-        None,
-        None,
-        WireFormat::Legacy,
-    )
-}
-
-/// [`run_handshake_with`] plus a caller-owned [`SessionCodeCache`]: both
-/// endpoints resolve `C_AB` through the cache, so the second endpoint of
-/// each pair (and any retry of the same `(key, nonce pair)`) reuses the
-/// first derivation instead of recomputing it. Reports are identical to
-/// [`run_handshake`] — the cached derivation is byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_cached(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-    cache: &mut SessionCodeCache,
-) -> HandshakeReport {
-    run_handshake_inner(
-        params,
-        authority,
-        a_codes,
-        b_codes,
-        shared_a,
-        shared_b,
-        jammer,
-        seed,
-        codec,
-        Some(cache),
-        None,
-        WireFormat::Legacy,
-    )
-}
-
-/// [`run_handshake_cached`] with an explicit [`WireFormat`]: `Legacy`
-/// reproduces it bit for bit; `Packed` runs the same four messages over
-/// the [`crate::wire`] codec — fewer bits per frame, so fewer chips on
-/// the air, with identical crypto and RNG draws.
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_cached_fmt(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-    cache: &mut SessionCodeCache,
-    format: WireFormat,
-) -> HandshakeReport {
-    run_handshake_inner(
-        params,
-        authority,
-        a_codes,
-        b_codes,
-        shared_a,
-        shared_b,
-        jammer,
-        seed,
-        codec,
-        Some(cache),
-        None,
-        format,
-    )
-}
-
-/// The result of a [`run_handshake_resilient`] session: the last
-/// attempt's [`HandshakeReport`] plus the retry bookkeeping.
+/// The result of a [`run_link`] session: the last attempt's
+/// [`HandshakeReport`] plus the retry bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientHandshakeReport {
     /// The final attempt's chip-level report.
@@ -520,348 +646,83 @@ pub struct ResilientHandshakeReport {
     pub channel_transmissions: usize,
 }
 
-/// [`run_handshake_cached`] wrapped in a budgeted retry/backoff loop over
-/// one persistent, optionally fault-injected session channel.
+/// Runs the four-message D-NDP handshake between A and B at chip level,
+/// retrying under `options.retry` on one persistent, optionally
+/// fault-injected session channel.
 ///
-/// Every attempt reruns the full four-message handshake with a fresh
-/// attempt seed (fresh nonces) on the *same* [`ChipChannel`], at
-/// advancing chip offsets; finished message windows are retired via
-/// [`ChipChannel::retire_before`], so channel memory stays bounded for
-/// arbitrarily long chaos runs. With `faults = None` and
-/// `RetryPolicy::none()` the first attempt is bit-identical to
-/// [`run_handshake_cached`] with the same arguments.
+/// A broadcasts one HELLO per code (one D-NDP round); B locates it with a
+/// sliding-window scan across **all** of ℂ_B, exactly as the paper's
+/// receiver does, and the remaining three messages travel on the shared
+/// code. Every attempt reruns the full handshake with a fresh attempt
+/// seed (fresh nonces) on the *same* channel at advancing chip offsets;
+/// finished message windows are retired, so channel memory stays bounded
+/// for arbitrarily long chaos runs. With the default [`LinkOptions`] this
+/// is exactly one attempt on a clean channel.
 ///
 /// A session that exhausts its budget reports `degraded = true` — the
 /// caller records a partial-discovery outcome and carries on.
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_resilient(
+///
+/// # Panics
+///
+/// Panics if the code sets are empty or a shared index is out of range.
+pub fn run_link(
     params: &Params,
     authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-    cache: Option<&mut SessionCodeCache>,
-    faults: Option<&FaultInjector>,
-    retry: &RetryPolicy,
+    spec: &LinkSpec<'_>,
+    options: &LinkOptions,
+    pools: &mut LinkPools,
 ) -> ResilientHandshakeReport {
-    run_handshake_resilient_fmt(
-        params,
-        authority,
-        a_codes,
-        b_codes,
-        shared_a,
-        shared_b,
-        jammer,
-        seed,
-        codec,
-        cache,
-        faults,
-        retry,
-        WireFormat::Legacy,
-    )
-}
-
-/// [`run_handshake_resilient`] with an explicit [`WireFormat`] — the
-/// retry/backoff/fault machinery is format-agnostic; only the frame bits
-/// on the channel change.
-#[allow(clippy::too_many_arguments)]
-pub fn run_handshake_resilient_fmt(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-    mut cache: Option<&mut SessionCodeCache>,
-    faults: Option<&FaultInjector>,
-    retry: &RetryPolicy,
-    format: WireFormat,
-) -> ResilientHandshakeReport {
-    let mut medium = LinkMedium::new(seed ^ 0x1111, faults);
-    let mut backoff_rng = SimRng::seed_from_u64(seed ^ 0xBACC_0FF5);
-    let mut backoff_s = 0.0;
-    let mut attempts = 0u32;
-    let mut report: Option<HandshakeReport> = None;
-    for attempt in 1..=retry.max_attempts.max(1) {
-        attempts = attempt;
-        backoff_s += retry.backoff_delay(attempt, &mut backoff_rng);
-        metric_counter!("retry.attempts").inc();
-        // Attempt 1 reuses the session seed unchanged so the no-fault,
-        // no-retry configuration reproduces the legacy path exactly;
-        // later attempts re-key nonces and jam garbage.
-        let attempt_seed = seed ^ (u64::from(attempt) - 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let r = run_handshake_inner(
-            params,
-            authority,
-            a_codes,
-            b_codes,
-            shared_a,
-            shared_b,
-            jammer,
-            attempt_seed,
-            codec,
-            cache.as_deref_mut(),
-            Some(&mut medium),
-            format,
-        );
-        let discovered = r.discovered;
-        report = Some(r);
-        if discovered {
-            break;
-        }
-        // This attempt's sub-session timed out; the budget decides
-        // whether that becomes a retry or a degraded outcome.
-        metric_counter!("session.timeouts").inc();
-    }
-    let report = report.expect("at least one attempt always runs");
-    let degraded = !report.discovered;
-    if degraded {
-        metric_counter!("session.degraded").inc();
-    }
-    ResilientHandshakeReport {
-        report,
-        attempts,
-        degraded,
-        backoff_s,
-        channel_transmissions: medium.channel.transmission_count(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_handshake_inner(
-    params: &Params,
-    authority: &Authority,
-    a_codes: &[SpreadCode],
-    b_codes: &[SpreadCode],
-    shared_a: usize,
-    shared_b: usize,
-    jammer: Option<&ChipJammer>,
-    seed: u64,
-    codec: &mut FrameCodec,
-    mut cache: Option<&mut SessionCodeCache>,
-    mut medium: Option<&mut LinkMedium>,
-    format: WireFormat,
-) -> HandshakeReport {
     assert!(
-        !a_codes.is_empty() && !b_codes.is_empty(),
+        !spec.a_codes.is_empty() && !spec.b_codes.is_empty(),
         "empty code sets"
     );
-    assert!(shared_a < a_codes.len() && shared_b < b_codes.len());
-    debug_assert_eq!(codec.code().mu(), params.mu, "codec/params mu mismatch");
-    let mut rng = SimRng::seed_from_u64(seed);
-    let wire = WireConfig::from_params(params);
-    let tau = params.tau;
-    let id_a = NodeId(1);
-    let id_b = NodeId(2);
-    // The protocol semantics live in the handshake endpoints; this
-    // function is the radio layer around them.
-    let mut initiator = Initiator::new_with_format(
-        authority.issue(id_a),
-        wire,
-        format,
-        params.n_chips,
-        &mut rng,
+    assert!(spec.shared_a < spec.a_codes.len() && spec.shared_b < spec.b_codes.len());
+    debug_assert_eq!(
+        pools.codec.code().mu(),
+        params.mu,
+        "pools/params mu mismatch"
     );
-    let mut responder = Responder::new_with_format(
-        authority.issue(id_b),
-        wire,
-        format,
-        params.n_chips,
-        256,
-        &mut rng,
-    );
-
-    // ---- Message 1: A broadcasts {HELLO, ID_A} with each of its codes. ----
-    let hello_bits = initiator.hello_frame();
-    let mut hello_coded = Vec::new();
-    codec
-        .encode_into(&hello_bits, &mut hello_coded)
-        .expect("non-empty");
-    let n = a_codes[0].len();
-    let msg_chips = hello_coded.len() * n;
-    // The broadcast lands on the session's persistent medium (resilient
-    // path) at its cursor, or on a fresh channel segment at chip 0 (the
-    // legacy one-shot path — noiseless, so the two are byte-identical).
-    let base = medium.as_deref().map_or(0, |m| m.cursor);
-    let mut fresh_channel;
-    // One reused sample buffer per link: B's buffering window is rendered
-    // into it once, and the bank scanner borrows it for every resumed scan.
-    let mut buffer = Vec::new();
-    let mut garbage = Vec::new();
-    let a_refs: Vec<&SpreadCode> = a_codes.iter().collect();
-    {
-        let channel: &mut ChipChannel = match medium.as_deref_mut() {
-            Some(m) => &mut m.channel,
-            None => {
-                fresh_channel = ChipChannel::new(seed ^ 0x1111);
-                &mut fresh_channel
-            }
-        };
-        transmit_hello(
-            channel,
-            base,
-            &hello_coded,
-            &a_refs,
-            jammer,
-            params.chip_rate,
-            &mut rng,
-            &mut garbage,
-        );
-        channel.render_into(&mut buffer, base, msg_chips * a_codes.len());
-    }
-    if let Some(m) = medium.as_deref_mut() {
-        m.advance((msg_chips * a_codes.len()) as u64);
-    }
-    let b_refs: Vec<&SpreadCode> = b_codes.iter().collect();
-    // One code bank and one prefix-sum pass over the buffer serve every
-    // resumed scan (the batched kernel in jrsnd_dsss::correlate).
+    // The code B heard the HELLO on; the remaining messages travel on it.
+    let code = &spec.b_codes[spec.shared_b];
+    let a_refs: Vec<&SpreadCode> = spec.a_codes.iter().collect();
+    let b_refs: Vec<&SpreadCode> = spec.b_codes.iter().collect();
     let bank = MultiCorrelator::new(&b_refs);
-    let mut scanner = bank.scanner(&buffer);
-    let mut hello_decoded = Vec::new();
-    let mut frame = Frame {
-        bits: Vec::new(),
-        erased: Vec::new(),
+    let mut medium = LinkMedium::new(spec.seed ^ MEDIUM_SALT, options.faults.as_ref());
+    let mut attempts = Attempts::new(spec.seed);
+    let report = loop {
+        let seed = attempts.begin(&options.retry);
+        let mut link = Link::new(params, authority, options.format, seed);
+        let base = medium.cursor;
+        let span = link.broadcast_hello(&a_refs, spec.jammer, &mut medium.channel, base, pools);
+        pools.render(&medium.channel, base, span as usize);
+        medium.advance(span);
+        let mut outcome = link.hear_hello(&bank, 0, span as usize, spec.shared_b, pools);
+        while outcome.is_none() {
+            outcome = link.exchange(code, spec.jammer, &mut medium, pools);
+        }
+        let report = outcome.expect("the attempt ended");
+        if report.discovered {
+            metric_counter!("chiplink.completed").inc();
+            break report;
+        }
+        if !attempts.retry_after_failure(&options.retry) {
+            break report;
+        }
     };
-    let mut scan_scratch = ScanScratch::new();
-    let (confirm_frame, scan_correlations, sync_retries) = scan_hello(
-        &mut scanner,
-        shared_b,
-        hello_coded.len(),
-        hello_bits.len(),
-        tau,
-        codec,
-        &mut responder,
-        &mut hello_decoded,
-        &mut frame,
-        &mut scan_scratch,
-    );
-    let Some(confirm_bits) = confirm_frame else {
-        return HandshakeReport {
-            discovered: false,
-            stage: Stage::NoHello,
-            scan_correlations,
-            sync_retries,
-        };
-    };
-    let code = &b_codes[shared_b]; // == a_codes[shared_a]
-    debug_assert_eq!(code.chips(), a_codes[shared_a].chips());
-    // The HELLO's coded-bit buffer is free now; reuse it as the coded
-    // staging buffer for the remaining three messages.
-    let mut coded_buf = hello_coded;
-
-    // One decoded-bits buffer reused across the remaining three messages.
-    let mut decoded = Vec::new();
-
-    // ---- Message 2: B -> A {CONFIRM, ID_B} spread with the shared code. ----
-    let auth_a_frame = transmit_and_receive(
-        &confirm_bits,
-        code,
-        codec,
-        &mut coded_buf,
-        jammer,
-        1,
-        tau,
-        params.chip_rate,
-        seed ^ 0x2222,
-        medium.as_deref_mut(),
-        &mut rng,
-        &mut garbage,
-        &mut decoded,
-    )
-    .then(|| initiator.on_confirm(&decoded, CodeId(shared_b as u32)).ok())
-    .flatten();
-    let Some(auth_a_bits) = auth_a_frame else {
-        return HandshakeReport {
-            discovered: false,
-            stage: Stage::NoConfirm,
-            scan_correlations,
-            sync_retries,
-        };
-    };
-
-    // ---- Message 3: A -> B {ID_A, n_A, f_{K_AB}(ID_A | n_A)}. ----
-    let auth_b_frame = transmit_and_receive(
-        &auth_a_bits,
-        code,
-        codec,
-        &mut coded_buf,
-        jammer,
-        2,
-        tau,
-        params.chip_rate,
-        seed ^ 0x3333,
-        medium.as_deref_mut(),
-        &mut rng,
-        &mut garbage,
-        &mut decoded,
-    )
-    .then(|| match cache.as_deref_mut() {
-        Some(c) => responder.on_auth_a_cached(&decoded, c).ok(),
-        None => responder.on_auth_a(&decoded).ok(),
-    })
-    .flatten();
-    let Some((auth_b_bits, est_b)) = auth_b_frame else {
-        return HandshakeReport {
-            discovered: false,
-            stage: Stage::AuthAFailed,
-            scan_correlations,
-            sync_retries,
-        };
-    };
-
-    // ---- Message 4: B -> A {ID_B, n_B, f_{K_BA}(ID_B | n_B)}. ----
-    let est_a = transmit_and_receive(
-        &auth_b_bits,
-        code,
-        codec,
-        &mut coded_buf,
-        jammer,
-        3,
-        tau,
-        params.chip_rate,
-        seed ^ 0x4444,
-        medium,
-        &mut rng,
-        &mut garbage,
-        &mut decoded,
-    )
-    .then(|| match cache {
-        Some(c) => initiator.on_auth_b_cached(&decoded, c).ok(),
-        None => initiator.on_auth_b(&decoded).ok(),
-    })
-    .flatten();
-    let Some(est_a) = est_a else {
-        return HandshakeReport {
-            discovered: false,
-            stage: Stage::AuthBFailed,
-            scan_correlations,
-            sync_retries,
-        };
-    };
-
-    // ---- Both sides hold the session spread code; they must agree. ----
-    let discovered = est_a.session_code == est_b.session_code;
-    if discovered {
-        metric_counter!("chiplink.completed").inc();
-    }
-    HandshakeReport {
-        discovered,
-        stage: Stage::Complete,
-        scan_correlations,
-        sync_retries,
+    let degraded = attempts.close(report.discovered);
+    ResilientHandshakeReport {
+        report,
+        attempts: attempts.made,
+        degraded,
+        backoff_s: attempts.backoff_s,
+        channel_transmissions: medium.channel.transmission_count(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jrsnd_sim::faults::FaultPlan;
     use rand::rngs::StdRng;
 
     /// A chip-level-friendly parameter set: shorter codes so the scan in a
@@ -881,6 +742,43 @@ mod tests {
         authority: Authority,
         a_codes: Vec<SpreadCode>,
         b_codes: Vec<SpreadCode>,
+    }
+
+    impl Setup {
+        /// The link between A and B over the shared code at index 1.
+        fn spec<'a>(&'a self, jammer: Option<&'a ChipJammer>, seed: u64) -> LinkSpec<'a> {
+            LinkSpec {
+                a_codes: &self.a_codes,
+                b_codes: &self.b_codes,
+                shared_a: 1,
+                shared_b: 1,
+                jammer,
+                seed,
+            }
+        }
+
+        fn run_with(
+            &self,
+            jammer: Option<&ChipJammer>,
+            seed: u64,
+            options: &LinkOptions,
+            pools: &mut LinkPools,
+        ) -> ResilientHandshakeReport {
+            run_link(
+                &self.params,
+                &self.authority,
+                &self.spec(jammer, seed),
+                options,
+                pools,
+            )
+        }
+
+        /// One attempt on a clean channel, with fresh pools.
+        fn run(&self, jammer: Option<&ChipJammer>, seed: u64) -> HandshakeReport {
+            let mut pools = LinkPools::new(&self.params);
+            self.run_with(jammer, seed, &LinkOptions::default(), &mut pools)
+                .report
+        }
     }
 
     /// A and B hold 3 codes each; index 1 is shared.
@@ -909,95 +807,53 @@ mod tests {
     #[test]
     fn clean_channel_completes_handshake() {
         let s = setup(1);
-        let report = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            None,
-            99,
-        );
+        let report = s.run(None, 99);
         assert_eq!(report.stage, Stage::Complete);
         assert!(report.discovered);
         assert!(report.scan_correlations > 0, "B really scanned the buffer");
     }
 
     #[test]
-    fn reused_codec_reproduces_fresh_codec_reports() {
-        // One FrameCodec threaded through several handshakes (incl. a
-        // jammed one) must report exactly what per-handshake codecs do.
+    fn warm_pools_reproduce_fresh_pools() {
+        // One LinkPools threaded through several handshakes (incl. a
+        // jammed one) must report exactly what per-handshake pools do.
         let s = setup(7);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 0.20, 1);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
+        let mut pools = LinkPools::new(&s.params);
         for (seed, jam) in [(301u64, false), (302, true), (303, false)] {
             let j = jam.then_some(&jammer);
-            let fresh = run_handshake(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-            );
-            let reused = run_handshake_with(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-                &mut codec,
-            );
-            assert_eq!(fresh, reused, "seed {seed}, jam {jam}");
+            let fresh = s.run(j, seed);
+            let warm = s
+                .run_with(j, seed, &LinkOptions::default(), &mut pools)
+                .report;
+            assert_eq!(fresh, warm, "seed {seed}, jam {jam}");
         }
     }
 
     #[test]
-    fn shared_session_cache_reproduces_fresh_reports() {
-        // One SessionCodeCache threaded through several handshakes (incl.
-        // a jammed one) must report exactly what the uncached path does:
-        // the cache changes work, never outcomes.
+    fn warm_session_cache_reproduces_fresh_reports() {
+        // One session-code cache threaded through several handshakes
+        // (incl. a jammed one) must report exactly what a fresh cache
+        // does: the cache changes work, never outcomes.
         let s = setup(8);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 0.20, 1);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
-        let mut cache = SessionCodeCache::new(32);
+        let mut pools = LinkPools::new(&s.params);
         for (seed, jam) in [(401u64, false), (402, true), (401, false)] {
             let j = jam.then_some(&jammer);
-            let fresh = run_handshake(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-            );
-            let cached = run_handshake_cached(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-                &mut codec,
-                &mut cache,
-            );
-            assert_eq!(fresh, cached, "seed {seed}, jam {jam}");
+            let fresh = s.run(j, seed);
+            let warm = s
+                .run_with(j, seed, &LinkOptions::default(), &mut pools)
+                .report;
+            assert_eq!(fresh, warm, "seed {seed}, jam {jam}");
         }
         // Each completed handshake inserts one pair entry (both endpoints
         // share it); the repeated seed 401 run hit instead of inserting.
-        assert!(cache.len() <= 2, "cache kept one entry per distinct pair");
         assert!(
-            !cache.is_empty(),
+            pools.cache.len() <= 2,
+            "cache kept one entry per distinct pair"
+        );
+        assert!(
+            !pools.cache.is_empty(),
             "completed handshakes populated the cache"
         );
     }
@@ -1005,44 +861,22 @@ mod tests {
     #[test]
     fn packed_format_completes_and_is_deterministic() {
         let s = setup(13);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
-        let mut cache = SessionCodeCache::new(16);
-        let run =
-            |codec: &mut crate::messages::FrameCodec, cache: &mut SessionCodeCache, seed: u64| {
-                run_handshake_cached_fmt(
-                    &s.params,
-                    &s.authority,
-                    &s.a_codes,
-                    &s.b_codes,
-                    1,
-                    1,
-                    None,
-                    seed,
-                    codec,
-                    cache,
-                    WireFormat::Packed,
-                )
-            };
-        let r1 = run(&mut codec, &mut cache, 901);
+        let mut pools = LinkPools::new(&s.params);
+        let packed = LinkOptions {
+            format: WireFormat::Packed,
+            ..LinkOptions::default()
+        };
+        let r1 = s.run_with(None, 901, &packed, &mut pools).report;
         assert_eq!(r1.stage, Stage::Complete);
         assert!(
             r1.discovered,
             "packed handshake completes on a clean channel"
         );
-        let r2 = run(&mut codec, &mut cache, 901);
+        let r2 = s.run_with(None, 901, &packed, &mut pools).report;
         assert_eq!(r1, r2, "packed path is deterministic");
         // Shorter frames mean a smaller scan window: the packed HELLO
         // round costs strictly fewer correlations than the legacy one.
-        let legacy = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            None,
-            901,
-        );
+        let legacy = s.run(None, 901);
         assert!(legacy.discovered);
         assert!(
             r1.scan_correlations < legacy.scan_correlations,
@@ -1054,47 +888,22 @@ mod tests {
 
     #[test]
     fn packed_resilient_retries_behave_like_legacy_machinery() {
-        use jrsnd_sim::retry::RetryPolicy;
         let s = setup(14);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
+        let mut pools = LinkPools::new(&s.params);
         // A full-strength same-code jammer defeats every attempt in either
         // format; the retry accounting must agree.
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.0, 3);
-        let retry = RetryPolicy::budgeted(3);
-        let packed = run_handshake_resilient_fmt(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&jammer),
-            950,
-            &mut codec,
-            None,
-            None,
-            &retry,
-            WireFormat::Packed,
-        );
+        let options = LinkOptions {
+            retry: RetryPolicy::budgeted(3),
+            format: WireFormat::Packed,
+            ..LinkOptions::default()
+        };
+        let packed = s.run_with(Some(&jammer), 950, &options, &mut pools);
         assert!(packed.degraded);
-        assert_eq!(packed.attempts, retry.max_attempts);
+        assert_eq!(packed.attempts, options.retry.max_attempts);
         // And without the jammer, packed resilient discovery succeeds on
         // the first attempt.
-        let clean = run_handshake_resilient_fmt(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            None,
-            951,
-            &mut codec,
-            None,
-            None,
-            &retry,
-            WireFormat::Packed,
-        );
+        let clean = s.run_with(None, 951, &options, &mut pools);
         assert!(clean.report.discovered);
         assert_eq!(clean.attempts, 1);
     }
@@ -1104,16 +913,7 @@ mod tests {
         let s = setup(2);
         let mut rng = StdRng::seed_from_u64(5);
         let jammer = ChipJammer::from_start(SpreadCode::random(s.params.n_chips, &mut rng), 1.0, 1);
-        let report = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&jammer),
-            100,
-        );
+        let report = s.run(Some(&jammer), 100);
         assert!(report.discovered, "stage: {:?}", report.stage);
     }
 
@@ -1121,16 +921,7 @@ mod tests {
     fn correct_code_full_jam_kills_handshake() {
         let s = setup(3);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.0, 3);
-        let report = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&jammer),
-            101,
-        );
+        let report = s.run(Some(&jammer), 101);
         assert!(!report.discovered);
     }
 
@@ -1140,16 +931,7 @@ mod tests {
         // Reed-Solomon layer must shrug it off.
         let s = setup(4);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 0.20, 1);
-        let report = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&jammer),
-            102,
-        );
+        let report = s.run(Some(&jammer), 102);
         assert!(report.discovered, "stage: {:?}", report.stage);
     }
 
@@ -1170,105 +952,56 @@ mod tests {
                 amplitude: 3,
                 first_message: first,
             };
-            let report = run_handshake(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                Some(&jammer),
-                200 + first as u64,
-            );
+            let report = s.run(Some(&jammer), 200 + first as u64);
             assert!(!report.discovered);
             assert_eq!(report.stage, expected, "first_message = {first}");
         }
     }
 
     #[test]
-    fn resilient_without_faults_or_retries_matches_the_legacy_path() {
-        use jrsnd_sim::retry::RetryPolicy;
+    fn single_attempt_books_one_attempt_with_fresh_or_warm_pools() {
         let s = setup(9);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 0.20, 1);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
+        let options = LinkOptions {
+            retry: RetryPolicy::none(),
+            ..LinkOptions::default()
+        };
+        let mut pools = LinkPools::new(&s.params);
         for (seed, jam) in [(501u64, false), (502, true)] {
             let j = jam.then_some(&jammer);
-            let legacy = run_handshake(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-            );
-            let resilient = run_handshake_resilient(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                j,
-                seed,
-                &mut codec,
-                None,
-                None,
-                &RetryPolicy::none(),
-            );
-            assert_eq!(resilient.report, legacy, "seed {seed}, jam {jam}");
-            assert_eq!(resilient.attempts, 1);
-            assert_eq!(resilient.backoff_s, 0.0);
-            assert_eq!(resilient.degraded, !legacy.discovered);
+            let fresh = s.run_with(j, seed, &options, &mut LinkPools::new(&s.params));
+            let warm = s.run_with(j, seed, &options, &mut pools);
+            assert_eq!(warm, fresh, "seed {seed}, jam {jam}");
+            assert_eq!(warm.attempts, 1);
+            assert_eq!(warm.backoff_s, 0.0);
+            assert_eq!(warm.degraded, !fresh.report.discovered);
         }
     }
 
     #[test]
     fn resilient_retries_recover_from_transient_faults() {
-        use jrsnd_sim::faults::{FaultInjector, FaultPlan};
-        use jrsnd_sim::retry::RetryPolicy;
         let s = setup(10);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
-        let inj = FaultInjector::new(77, FaultPlan::intensity(0.6));
-        let retry = RetryPolicy::budgeted(4);
+        let mut pools = LinkPools::new(&s.params);
+        let faults = Some(FaultInjector::new(77, FaultPlan::intensity(0.6)));
+        let single = LinkOptions {
+            faults,
+            ..LinkOptions::default()
+        };
+        let retried = LinkOptions {
+            retry: RetryPolicy::budgeted(4),
+            ..single
+        };
         // Across several session seeds, retries must discover at least one
         // link that the single-attempt run under the same faults loses.
         let mut single_failures = 0u32;
         let mut retried_recoveries = 0u32;
         for seed in 600u64..640 {
-            let single = run_handshake_resilient(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                None,
-                seed,
-                &mut codec,
-                None,
-                Some(&inj),
-                &RetryPolicy::none(),
-            );
+            let single = s.run_with(None, seed, &single, &mut pools);
             if single.report.discovered {
                 continue;
             }
             single_failures += 1;
-            let retried = run_handshake_resilient(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                None,
-                seed,
-                &mut codec,
-                None,
-                Some(&inj),
-                &retry,
-            );
+            let retried = s.run_with(None, seed, &retried, &mut pools);
             if retried.report.discovered {
                 retried_recoveries += 1;
                 assert!(retried.attempts > 1, "recovery must have used a retry");
@@ -1282,60 +1015,35 @@ mod tests {
 
     #[test]
     fn resilient_faulted_sessions_are_deterministic() {
-        use jrsnd_sim::faults::{FaultInjector, FaultPlan};
-        use jrsnd_sim::retry::RetryPolicy;
         let s = setup(11);
-        let run = |seed: u64| {
-            let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
-            let mut cache = SessionCodeCache::new(16);
-            let inj = FaultInjector::new(5, FaultPlan::intensity(0.7));
-            run_handshake_resilient(
-                &s.params,
-                &s.authority,
-                &s.a_codes,
-                &s.b_codes,
-                1,
-                1,
-                None,
-                seed,
-                &mut codec,
-                Some(&mut cache),
-                Some(&inj),
-                &RetryPolicy::budgeted(3),
-            )
+        let options = LinkOptions {
+            retry: RetryPolicy::budgeted(3),
+            faults: Some(FaultInjector::new(5, FaultPlan::intensity(0.7))),
+            ..LinkOptions::default()
         };
+        let mut pools = LinkPools::new(&s.params);
         for seed in [700u64, 701, 702] {
-            assert_eq!(run(seed), run(seed), "seed {seed}");
+            let fresh = s.run_with(None, seed, &options, &mut LinkPools::new(&s.params));
+            let warm = s.run_with(None, seed, &options, &mut pools);
+            assert_eq!(fresh, warm, "seed {seed}");
         }
     }
 
     #[test]
     fn session_channel_memory_stays_bounded_across_retries() {
-        use jrsnd_sim::retry::RetryPolicy;
         let s = setup(12);
-        let mut codec = crate::messages::FrameCodec::new(s.params.mu).unwrap();
         // A full-strength same-code jammer fails every attempt, forcing
         // the driver through its whole (large) retry budget on one
         // persistent channel.
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.0, 3);
-        let retry = RetryPolicy {
-            max_attempts: 12,
-            ..RetryPolicy::budgeted(11)
+        let options = LinkOptions {
+            retry: RetryPolicy {
+                max_attempts: 12,
+                ..RetryPolicy::budgeted(11)
+            },
+            ..LinkOptions::default()
         };
-        let r = run_handshake_resilient(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&jammer),
-            800,
-            &mut codec,
-            None,
-            None,
-            &retry,
-        );
+        let r = s.run_with(Some(&jammer), 800, &options, &mut LinkPools::new(&s.params));
         assert_eq!(r.attempts, 12);
         assert!(r.degraded);
         // Every finished message window was retired: what survives is at
@@ -1352,21 +1060,11 @@ mod tests {
 
     #[test]
     fn no_shared_code_means_no_hello() {
-        let s = setup(5);
+        let mut s = setup(5);
         let mut rng = StdRng::seed_from_u64(50);
         // Replace B's copy of the shared code so nothing overlaps.
-        let mut b_codes = s.b_codes.clone();
-        b_codes[1] = SpreadCode::random(s.params.n_chips, &mut rng);
-        let report = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &b_codes,
-            1,
-            1,
-            None,
-            103,
-        );
+        s.b_codes[1] = SpreadCode::random(s.params.n_chips, &mut rng);
+        let report = s.run(None, 103);
         assert_eq!(report.stage, Stage::NoHello);
         assert!(!report.discovered);
     }

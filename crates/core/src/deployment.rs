@@ -260,16 +260,22 @@ mod tests {
         let b_codes: Vec<_> = b.codes().iter().map(|(_, c)| c.clone()).collect();
         let shared_a = a.node().codes().iter().position(|&c| c == shared).unwrap();
         let shared_b = b.node().codes().iter().position(|&c| c == shared).unwrap();
-        let report = crate::chiplink::run_handshake(
-            d.params(),
-            d.authority(),
-            &a_codes,
-            &b_codes,
+        let spec = crate::chiplink::LinkSpec {
+            a_codes: &a_codes,
+            b_codes: &b_codes,
             shared_a,
             shared_b,
-            None,
-            11,
-        );
+            jammer: None,
+            seed: 11,
+        };
+        let report = crate::chiplink::run_link(
+            d.params(),
+            d.authority(),
+            &spec,
+            &crate::chiplink::LinkOptions::default(),
+            &mut crate::chiplink::LinkPools::new(d.params()),
+        )
+        .report;
         assert!(report.discovered, "stage {:?}", report.stage);
     }
 

@@ -1,29 +1,32 @@
 //! Batch session engine: thousands-to-millions of concurrent D-NDP/M-NDP
 //! handshakes advanced tick-by-tick against shared chip media.
 //!
-//! The chip-level driver in [`crate::chiplink`] runs one session at a time:
-//! every HELLO broadcast renders its own buffer and pays its own prefix-sum
-//! pass, and every retry loop owns a private channel. This module keeps the
-//! *exact same* radio/protocol code — [`transmit_hello`], [`scan_hello`],
-//! [`transmit_and_receive`] are shared verbatim — but drives many sessions
+//! The single-link driver [`crate::chiplink::run_link`] runs one session
+//! at a time: every HELLO broadcast renders its own buffer and pays its own
+//! prefix-sum pass, and every retry loop owns a private channel. This
+//! module runs the *same* handshake step machine
+//! (`chiplink::Link`: broadcast HELLO, hear HELLO, one
+//! CONFIRM/AUTH_A/AUTH_B exchange per step) with the same retry
+//! bookkeeping (`chiplink::Attempts`), but drives many sessions
 //! through it at once:
 //!
 //! * **Arena state.** Per-session state lives in a slot arena with a
-//!   struct-of-arrays hot path (stage + deadline per session) so the tick
-//!   loop scans cache-friendly arrays, touching the cold per-session slot
+//!   struct-of-arrays hot path (one stage marker per session) so the tick
+//!   loop scans a cache-friendly array, touching the cold per-session slot
 //!   only when a session is actually due.
 //! * **"m receivers, one pass."** All sessions of a shard that broadcast a
-//!   HELLO in the same tick land on one shared [`LinkMedium`] at disjoint
+//!   HELLO in the same tick land on one shared `LinkMedium` at disjoint
 //!   chip windows. The engine renders the whole chunk once and computes
 //!   **one** exact `i64` prefix-sum pass over it
-//!   ([`PrefixSums`]); every receiver's sliding-window scan then borrows
-//!   its window's totals via [`MultiCorrelator::scanner_in`] instead of
-//!   re-summing — `m` receivers, one `O(len)` pass.
-//! * **Pooled scratch.** One [`FrameCodec`], [`SessionCodeCache`], decode /
-//!   garbage / frame / scan scratch set, render buffer, and correlator bank
-//!   per shard, reused by every session; the warm engine makes no
+//!   ([`jrsnd_dsss::correlate::PrefixSums`]); every receiver's
+//!   sliding-window scan then borrows its window's totals via
+//!   [`MultiCorrelator::scanner_in`] instead of re-summing — `m`
+//!   receivers, one `O(len)` pass.
+//! * **Pooled scratch.** One [`LinkPools`] (frame codec, session-code
+//!   cache, staging / frame / scan / render scratch) and one correlator
+//!   bank per shard, reused by every session; the warm engine makes no
 //!   steady-state allocations in its scan machinery.
-//! * **Bounded channel memory.** Each shard's [`LinkMedium`] cursor only
+//! * **Bounded channel memory.** Each shard's `LinkMedium` cursor only
 //!   moves forward, and finished windows are retired
 //!   ([`jrsnd_dsss::channel::ChipChannel::retire_before`]), so channel
 //!   memory is bounded by one chunk regardless of run length.
@@ -31,7 +34,7 @@
 //!   workers own fixed shard sets (`shard % workers`). Every per-session
 //!   decision is keyed only by the session's own seeded RNGs, so the
 //!   engine's outputs are **byte-identical** to the sequential
-//!   [`reference`] oracle and invariant under `JRSND_THREADS`.
+//!   [`reference`](mod@reference) oracle and invariant under `JRSND_THREADS`.
 //!
 //! # Why the batch is bit-exact
 //!
@@ -44,35 +47,23 @@
 //! Pooled codecs, caches, and scratch change *work*, never outcomes. Each
 //! session draws jam garbage and nonces from its own attempt-seeded RNG, so
 //! interleaving sessions cannot perturb any draw. The one deliberate
-//! deviation from [`crate::chiplink::run_handshake_resilient`]: the engine
+//! deviation from [`crate::chiplink::run_link`]: the engine
 //! does not support fault injection (a fault stream keyed to a shared
 //! medium would couple sessions), so batch runs model jamming and retries
 //! but not injected chip faults.
 
 use crate::chiplink::{
-    scan_hello, transmit_and_receive, transmit_hello, ChipJammer, HandshakeReport, LinkMedium,
-    Stage,
+    Attempts, ChipJammer, HandshakeReport, Link, LinkMedium, LinkOptions, LinkPools, LinkSpec,
+    MEDIUM_SALT,
 };
-use crate::handshake::{Established, Initiator, Responder};
-use crate::messages::{FrameCodec, MessageKind, WireConfig};
 use crate::params::Params;
 use crate::wire::WireFormat;
-use jrsnd_crypto::ibc::{Authority, NodeId};
-use jrsnd_crypto::session::SessionCodeCache;
-use jrsnd_dsss::code::{CodeId, SpreadCode};
-use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
-use jrsnd_dsss::sync::{Frame, ScanScratch};
+use jrsnd_crypto::ibc::Authority;
+use jrsnd_dsss::code::SpreadCode;
+use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_sim::retry::RetryPolicy;
-use jrsnd_sim::rng::SimRng;
 use jrsnd_sim::{metric_counter, metric_gauge};
-use rand::SeedableRng;
 
-/// Attempt re-keying increment, shared with the resilient driver.
-const ATTEMPT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Backoff-jitter stream salt, shared with the resilient driver.
-const BACKOFF_SALT: u64 = 0xBACC_0FF5;
-/// Channel seed salt (irrelevant on a noiseless medium, kept for parity).
-const MEDIUM_SALT: u64 = 0x1111;
 /// Seed salt separating an M-NDP session's second (relay → B) leg from its
 /// first, so the two legs draw independent nonces and jitter.
 const MNDP_LEG2_SALT: u64 = 0x6D6E_6470_0002;
@@ -143,6 +134,21 @@ pub struct SessionSpec {
     pub kind: SessionKind,
 }
 
+impl SessionSpec {
+    /// Leg 1's far end: the relay's A-facing code set for a multi-hop
+    /// session, B's code set for a direct one.
+    fn leg1_peer(&self) -> (&[usize], usize) {
+        match &self.kind {
+            SessionKind::Direct => (&self.b_codes, self.shared_b),
+            SessionKind::MultiHop {
+                relay_a_codes,
+                relay_shared_a,
+                ..
+            } => (relay_a_codes, *relay_shared_a),
+        }
+    }
+}
+
 /// The final outcome of one engine session (all legs, all retry attempts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionOutcome {
@@ -202,13 +208,13 @@ pub struct BatchEngine<'p> {
     config: EngineConfig,
 }
 
-/// Hot per-session stage marker (struct-of-arrays with `deadline`).
+/// Hot per-session stage marker (struct-of-arrays with the slots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SessStage {
+    /// Due to (re)broadcast its HELLO.
     Hello,
-    Confirm,
-    AuthA,
-    AuthB,
+    /// HELLO heard; one message exchange per tick.
+    InFlight,
     Done,
 }
 
@@ -218,20 +224,10 @@ struct Slot {
     a_idx: Vec<usize>,
     b_idx: Vec<usize>,
     shared_b: usize,
-    leg_seed: u64,
     jammer: Option<ChipJammer>,
-    // Attempt state.
-    attempt: u32,
-    attempt_seed: u64,
-    backoff_rng: SimRng,
-    backoff_s: f64,
-    rng: SimRng,
-    initiator: Option<Initiator>,
-    responder: Option<Responder>,
-    pending: Vec<bool>,
-    est_b: Option<Established>,
-    scan_correlations: u64,
-    sync_retries: u64,
+    attempts: Attempts,
+    /// The attempt in flight.
+    link: Option<Link>,
     // Cross-leg bookkeeping.
     leg1: Option<SessionOutcome>,
     outcome: Option<SessionOutcome>,
@@ -239,43 +235,16 @@ struct Slot {
 
 impl Slot {
     fn new(spec: &SessionSpec, pool: &[SpreadCode]) -> Self {
-        // Leg 1 of a multi-hop session runs A against the relay's
-        // A-facing code set; a direct session runs A against B.
-        let (b_idx, shared_b) = match &spec.kind {
-            SessionKind::Direct => (spec.b_codes.clone(), spec.shared_b),
-            SessionKind::MultiHop {
-                relay_a_codes,
-                relay_shared_a,
-                ..
-            } => (relay_a_codes.clone(), *relay_shared_a),
-        };
+        let (b_idx, shared_b) = spec.leg1_peer();
         Slot {
             a_idx: spec.a_codes.clone(),
-            b_idx,
+            b_idx: b_idx.to_vec(),
             shared_b,
-            leg_seed: spec.seed,
             jammer: spec.jammer.as_ref().map(|j| j.instantiate(pool)),
-            attempt: 0,
-            attempt_seed: 0,
-            backoff_rng: SimRng::seed_from_u64(spec.seed ^ BACKOFF_SALT),
-            backoff_s: 0.0,
-            rng: SimRng::seed_from_u64(0),
-            initiator: None,
-            responder: None,
-            pending: Vec::new(),
-            est_b: None,
-            scan_correlations: 0,
-            sync_retries: 0,
+            attempts: Attempts::new(spec.seed),
+            link: None,
             leg1: None,
             outcome: None,
-        }
-    }
-
-    fn on_leg(&self) -> u8 {
-        if self.leg1.is_some() {
-            2
-        } else {
-            1
         }
     }
 }
@@ -298,90 +267,51 @@ fn merge_mndp_legs(leg1: SessionOutcome, leg2: SessionOutcome) -> SessionOutcome
     }
 }
 
-/// Finalizes the current leg with `report`: either stores the session's
-/// outcome (direct, final leg, or a degraded leg) or rewrites the slot for
-/// the M-NDP second leg.
-fn finalize_leg(
+/// Closes the current attempt with its `report`. A failed attempt retries
+/// while the budget allows; otherwise the leg ends, and either the
+/// session's outcome is stored (direct, final leg, or a degraded leg) or
+/// the slot is rewritten for the M-NDP second leg.
+fn end_attempt(
     slot: &mut Slot,
     st: &mut SessStage,
     spec: &SessionSpec,
+    retry: &RetryPolicy,
     report: HandshakeReport,
     active: &mut usize,
 ) {
-    let degraded = !report.discovered;
-    if degraded {
-        metric_counter!("session.degraded").inc();
+    slot.link = None;
+    if report.discovered {
+        metric_counter!("engine.handshakes_completed").inc();
+    } else if slot.attempts.retry_after_failure(retry) {
+        *st = SessStage::Hello;
+        return;
     }
+    let degraded = slot.attempts.close(report.discovered);
     let leg = SessionOutcome {
         report,
-        attempts: slot.attempt,
+        attempts: slot.attempts.made,
         degraded,
-        backoff_s: slot.backoff_s,
+        backoff_s: slot.attempts.backoff_s,
     };
-    let relay_leg_next =
-        matches!(spec.kind, SessionKind::MultiHop { .. }) && slot.on_leg() == 1 && !leg.degraded;
-    if relay_leg_next {
-        let SessionKind::MultiHop { relay_b_codes, .. } = &spec.kind else {
-            unreachable!("relay_leg_next implies MultiHop");
-        };
-        slot.leg1 = Some(leg);
-        slot.a_idx = relay_b_codes.clone();
-        slot.b_idx = spec.b_codes.clone();
-        slot.shared_b = spec.shared_b;
-        slot.leg_seed = spec.seed ^ MNDP_LEG2_SALT;
-        slot.jammer = None;
-        slot.attempt = 0;
-        slot.backoff_s = 0.0;
-        slot.backoff_rng = SimRng::seed_from_u64(slot.leg_seed ^ BACKOFF_SALT);
-        *st = SessStage::Hello;
-    } else {
-        slot.outcome = Some(match slot.leg1.take() {
-            Some(l1) => merge_mndp_legs(l1, leg),
-            None => leg,
-        });
-        *st = SessStage::Done;
-        *active -= 1;
+    match &spec.kind {
+        SessionKind::MultiHop { relay_b_codes, .. } if slot.leg1.is_none() && !degraded => {
+            slot.leg1 = Some(leg);
+            slot.a_idx = relay_b_codes.clone();
+            slot.b_idx = spec.b_codes.clone();
+            slot.shared_b = spec.shared_b;
+            slot.jammer = None;
+            slot.attempts = Attempts::new(spec.seed ^ MNDP_LEG2_SALT);
+            *st = SessStage::Hello;
+        }
+        _ => {
+            slot.outcome = Some(match slot.leg1.take() {
+                Some(l1) => merge_mndp_legs(l1, leg),
+                None => leg,
+            });
+            *st = SessStage::Done;
+            *active -= 1;
+        }
     }
-}
-
-/// Books one failed attempt: retries while the budget allows, otherwise
-/// finalizes the leg degraded with the failing stage's report.
-fn fail_attempt(
-    slot: &mut Slot,
-    st: &mut SessStage,
-    spec: &SessionSpec,
-    max_attempts: u32,
-    report_stage: Stage,
-    active: &mut usize,
-) {
-    metric_counter!("session.timeouts").inc();
-    if slot.attempt < max_attempts {
-        *st = SessStage::Hello;
-    } else {
-        let report = HandshakeReport {
-            discovered: false,
-            stage: report_stage,
-            scan_correlations: slot.scan_correlations,
-            sync_retries: slot.sync_retries,
-        };
-        finalize_leg(slot, st, spec, report, active);
-    }
-}
-
-fn resolve_workers(threads: Option<usize>, shards: usize) -> usize {
-    threads
-        .or_else(|| {
-            std::env::var("JRSND_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&t| t > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, shards.max(1))
 }
 
 impl<'p> BatchEngine<'p> {
@@ -458,7 +388,7 @@ impl<'p> BatchEngine<'p> {
             self.validate(spec);
         }
         let shards = self.config.shards.clamp(1, specs.len());
-        let workers = resolve_workers(self.config.threads, shards);
+        let workers = crate::montecarlo::resolve_threads(self.config.threads).clamp(1, shards);
         metric_gauge!("engine.sessions_active").set(specs.len() as f64);
         let mut out: Vec<Option<SessionOutcome>> = Vec::new();
         out.resize_with(specs.len(), || None);
@@ -501,21 +431,14 @@ impl<'p> BatchEngine<'p> {
     }
 
     /// Drives shard `shard`'s sessions (spec indices `≡ shard mod shards`)
-    /// to completion on one shared medium with one pooled scratch set.
+    /// to completion on one shared medium with one set of [`LinkPools`].
     fn run_shard(
         &self,
         specs: &[SessionSpec],
         shard: usize,
         shards: usize,
     ) -> Vec<(usize, SessionOutcome)> {
-        let params = self.params;
-        let wire = WireConfig::from_params(params);
-        let tau = params.tau;
-        let chip_rate = params.chip_rate;
-        let n = params.n_chips;
-        let max_attempts = self.config.retry.max_attempts.max(1);
         let retry = &self.config.retry;
-
         let orig: Vec<usize> = (shard..specs.len()).step_by(shards).collect();
         let mut slots: Vec<Slot> = orig
             .iter()
@@ -524,32 +447,14 @@ impl<'p> BatchEngine<'p> {
         let mut stage: Vec<SessStage> = vec![SessStage::Hello; slots.len()];
         let mut active = slots.len();
 
-        // Shard-pooled machinery: one medium, one codec, one session-code
-        // cache, one scratch set for every session of the shard.
+        // Shard-pooled machinery: one medium, one set of link pools, and
+        // one correlator bank re-pointed at each session's code set.
         let mut medium = LinkMedium::new((shard as u64) ^ MEDIUM_SALT, None);
-        let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-        let mut cache = SessionCodeCache::new(1024);
+        let mut pools = LinkPools::new(self.params);
         let pool_refs: Vec<&SpreadCode> = self.pool.iter().collect();
         let pool_bank = MultiCorrelator::new(&pool_refs);
         let mut session_bank = MultiCorrelator::new(&[]);
         let mut a_refs: Vec<&SpreadCode> = Vec::new();
-        let mut hello_coded: Vec<bool> = Vec::new();
-        let mut garbage: Vec<bool> = Vec::new();
-        let mut decoded: Vec<bool> = Vec::new();
-        let mut coded_buf: Vec<bool> = Vec::new();
-        let mut hello_decoded: Vec<bool> = Vec::new();
-        // Packed-path HELLO staging: the frame is rendered through the
-        // codec's pooled wire scratch into this shard-pooled buffer, so a
-        // warm packed pass allocates nothing per session.
-        let mut hello_frame_buf: Vec<bool> = Vec::new();
-        let format = self.config.format;
-        let mut frame = Frame {
-            bits: Vec::new(),
-            erased: Vec::new(),
-        };
-        let mut scan_scratch = ScanScratch::new();
-        let mut chunk_buf: Vec<i32> = Vec::new();
-        let mut prefix = PrefixSums::new();
         // (slot, chip offset within the chunk, chips spanned) per HELLO.
         let mut entries: Vec<(usize, usize, usize)> = Vec::new();
         let mut due: Vec<usize> = Vec::new();
@@ -565,116 +470,42 @@ impl<'p> BatchEngine<'p> {
             for chunk in due.chunks(self.config.chunk) {
                 let chunk_base = medium.cursor;
                 entries.clear();
-                let mut hello_bits_len = 0usize;
                 for &i in chunk {
                     let s = &mut slots[i];
-                    s.attempt += 1;
-                    s.backoff_s += retry.backoff_delay(s.attempt, &mut s.backoff_rng);
-                    metric_counter!("retry.attempts").inc();
-                    s.attempt_seed =
-                        s.leg_seed ^ u64::from(s.attempt - 1).wrapping_mul(ATTEMPT_SALT);
-                    s.rng = SimRng::seed_from_u64(s.attempt_seed);
-                    let initiator = Initiator::new_with_format(
-                        self.authority.issue(NodeId(1)),
-                        wire,
-                        format,
-                        n,
-                        &mut s.rng,
-                    );
-                    let responder = Responder::new_with_format(
-                        self.authority.issue(NodeId(2)),
-                        wire,
-                        format,
-                        n,
-                        256,
-                        &mut s.rng,
-                    );
-                    match format {
-                        WireFormat::Legacy => {
-                            let hello_bits = initiator.hello_frame();
-                            hello_bits_len = hello_bits.len();
-                            codec
-                                .encode_into(&hello_bits, &mut hello_coded)
-                                .expect("non-empty");
-                        }
-                        WireFormat::Packed => {
-                            // Every engine session speaks as NodeId(1), so
-                            // the packed HELLO is one shared frame rendered
-                            // through the codec's pooled wire scratch —
-                            // no per-session Vec, no allocation when warm.
-                            codec
-                                .hello_packed(
-                                    &wire,
-                                    MessageKind::Hello,
-                                    NodeId(1),
-                                    &mut hello_frame_buf,
-                                )
-                                .expect("own id fits");
-                            hello_bits_len = hello_frame_buf.len();
-                            codec
-                                .encode_into(&hello_frame_buf, &mut hello_coded)
-                                .expect("non-empty");
-                        }
-                    }
-                    s.initiator = Some(initiator);
-                    s.responder = Some(responder);
+                    let seed = s.attempts.begin(retry);
+                    let mut link = Link::new(self.params, self.authority, self.config.format, seed);
                     a_refs.clear();
                     a_refs.extend(s.a_idx.iter().map(|&k| &self.pool[k]));
                     let base = medium.cursor;
-                    let span = hello_coded.len() * n * a_refs.len();
-                    transmit_hello(
-                        &mut medium.channel,
-                        base,
-                        &hello_coded,
+                    let span = link.broadcast_hello(
                         &a_refs,
                         s.jammer.as_ref(),
-                        chip_rate,
-                        &mut s.rng,
-                        &mut garbage,
+                        &mut medium.channel,
+                        base,
+                        &mut pools,
                     );
-                    medium.bump(span as u64);
-                    entries.push((i, (base - chunk_base) as usize, span));
+                    medium.bump(span);
+                    s.link = Some(link);
+                    entries.push((i, (base - chunk_base) as usize, span as usize));
                 }
                 let chunk_len = (medium.cursor - chunk_base) as usize;
-                if chunk_buf.capacity() >= chunk_len {
+                if pools.render_capacity() >= chunk_len {
                     metric_counter!("engine.scratch_reused").inc();
                 }
-                medium
-                    .channel
-                    .render_into(&mut chunk_buf, chunk_base, chunk_len);
-                prefix.compute(&chunk_buf);
+                pools.render(&medium.channel, chunk_base, chunk_len);
                 metric_counter!("engine.shared_scan_passes").inc();
-                let hello_coded_len = hello_coded.len();
                 for &(i, rel, span) in &entries {
                     let s = &mut slots[i];
                     session_bank.assign_from_pool(&pool_bank, &s.b_idx);
-                    let mut scanner =
-                        session_bank.scanner_in(&chunk_buf[rel..rel + span], &prefix, rel);
-                    let (confirm, sc, sr) = scan_hello(
-                        &mut scanner,
-                        s.shared_b,
-                        hello_coded_len,
-                        hello_bits_len,
-                        tau,
-                        &mut codec,
-                        s.responder.as_mut().expect("fresh attempt"),
-                        &mut hello_decoded,
-                        &mut frame,
-                        &mut scan_scratch,
-                    );
-                    s.scan_correlations = sc;
-                    s.sync_retries = sr;
-                    match confirm {
-                        Some(c) => {
-                            s.pending = c;
-                            stage[i] = SessStage::Confirm;
-                        }
-                        None => fail_attempt(
+                    let link = s.link.as_mut().expect("fresh attempt");
+                    match link.hear_hello(&session_bank, rel, span, s.shared_b, &mut pools) {
+                        None => stage[i] = SessStage::InFlight,
+                        Some(report) => end_attempt(
                             s,
                             &mut stage[i],
                             &specs[orig[i]],
-                            max_attempts,
-                            Stage::NoHello,
+                            retry,
+                            report,
                             &mut active,
                         ),
                     }
@@ -684,143 +515,24 @@ impl<'p> BatchEngine<'p> {
             }
 
             // ---- Phase B: one message exchange per in-flight session. ----
-            due.clear();
-            due.extend((0..slots.len()).filter(|&i| {
-                matches!(
-                    stage[i],
-                    SessStage::Confirm | SessStage::AuthA | SessStage::AuthB
-                )
-            }));
-            for &i in &due {
+            for i in 0..slots.len() {
+                if stage[i] != SessStage::InFlight {
+                    continue;
+                }
                 let s = &mut slots[i];
-                let (msg_index, salt) = match stage[i] {
-                    SessStage::Confirm => (1usize, 0x2222u64),
-                    SessStage::AuthA => (2, 0x3333),
-                    SessStage::AuthB => (3, 0x4444),
-                    _ => unreachable!("phase B only sees in-flight stages"),
-                };
                 let code = &self.pool[s.b_idx[s.shared_b]];
-                let ok = transmit_and_receive(
-                    &s.pending,
-                    code,
-                    &mut codec,
-                    &mut coded_buf,
-                    s.jammer.as_ref(),
-                    msg_index,
-                    tau,
-                    chip_rate,
-                    s.attempt_seed ^ salt,
-                    Some(&mut medium),
-                    &mut s.rng,
-                    &mut garbage,
-                    &mut decoded,
-                );
-                match stage[i] {
-                    SessStage::Confirm => {
-                        let next = ok
-                            .then(|| {
-                                s.initiator
-                                    .as_mut()
-                                    .expect("set at HELLO")
-                                    .on_confirm(&decoded, CodeId(s.shared_b as u32))
-                                    .ok()
-                            })
-                            .flatten();
-                        match next {
-                            Some(auth_a) => {
-                                s.pending = auth_a;
-                                stage[i] = SessStage::AuthA;
-                            }
-                            None => fail_attempt(
-                                s,
-                                &mut stage[i],
-                                &specs[orig[i]],
-                                max_attempts,
-                                Stage::NoConfirm,
-                                &mut active,
-                            ),
-                        }
-                    }
-                    SessStage::AuthA => {
-                        let next = ok
-                            .then(|| {
-                                s.responder
-                                    .as_mut()
-                                    .expect("set at HELLO")
-                                    .on_auth_a_cached(&decoded, &mut cache)
-                                    .ok()
-                            })
-                            .flatten();
-                        match next {
-                            Some((auth_b, est_b)) => {
-                                s.pending = auth_b;
-                                s.est_b = Some(est_b);
-                                stage[i] = SessStage::AuthB;
-                            }
-                            None => fail_attempt(
-                                s,
-                                &mut stage[i],
-                                &specs[orig[i]],
-                                max_attempts,
-                                Stage::AuthAFailed,
-                                &mut active,
-                            ),
-                        }
-                    }
-                    SessStage::AuthB => {
-                        let next = ok
-                            .then(|| {
-                                s.initiator
-                                    .as_mut()
-                                    .expect("set at HELLO")
-                                    .on_auth_b_cached(&decoded, &mut cache)
-                                    .ok()
-                            })
-                            .flatten();
-                        match next {
-                            Some(est_a) => {
-                                let discovered = est_a.session_code
-                                    == s.est_b.as_ref().expect("set at AUTH_A").session_code;
-                                if discovered {
-                                    metric_counter!("engine.handshakes_completed").inc();
-                                    let report = HandshakeReport {
-                                        discovered: true,
-                                        stage: Stage::Complete,
-                                        scan_correlations: s.scan_correlations,
-                                        sync_retries: s.sync_retries,
-                                    };
-                                    finalize_leg(
-                                        s,
-                                        &mut stage[i],
-                                        &specs[orig[i]],
-                                        report,
-                                        &mut active,
-                                    );
-                                } else {
-                                    // Completed but session codes disagree:
-                                    // a failed attempt, like the resilient
-                                    // driver treats it.
-                                    fail_attempt(
-                                        s,
-                                        &mut stage[i],
-                                        &specs[orig[i]],
-                                        max_attempts,
-                                        Stage::Complete,
-                                        &mut active,
-                                    );
-                                }
-                            }
-                            None => fail_attempt(
-                                s,
-                                &mut stage[i],
-                                &specs[orig[i]],
-                                max_attempts,
-                                Stage::AuthBFailed,
-                                &mut active,
-                            ),
-                        }
-                    }
-                    _ => unreachable!("phase B only sees in-flight stages"),
+                let link = s.link.as_mut().expect("in flight");
+                if let Some(report) =
+                    link.exchange(code, s.jammer.as_ref(), &mut medium, &mut pools)
+                {
+                    end_attempt(
+                        s,
+                        &mut stage[i],
+                        &specs[orig[i]],
+                        retry,
+                        report,
+                        &mut active,
+                    );
                 }
             }
         }
@@ -832,55 +544,14 @@ impl<'p> BatchEngine<'p> {
     }
 }
 
-/// The sequential oracle: every session run one at a time through
-/// [`run_handshake_resilient`](crate::chiplink::run_handshake_resilient),
-/// with the same seed derivations and the same leg-merge rule as the
-/// engine. The equivalence tests assert the engine's outputs are
-/// byte-identical to this at every session mix.
+/// The sequential oracle: every leg of every session run one at a time
+/// through [`run_link`](crate::chiplink::run_link), with the same seed
+/// derivations and the same leg-merge rule as the engine. The equivalence
+/// tests assert the engine's outputs are byte-identical to this at every
+/// session mix.
 pub mod reference {
     use super::*;
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_leg(
-        params: &Params,
-        authority: &Authority,
-        pool: &[SpreadCode],
-        retry: &RetryPolicy,
-        a_idx: &[usize],
-        b_idx: &[usize],
-        shared_a: usize,
-        shared_b: usize,
-        jam: Option<&JamSpec>,
-        seed: u64,
-        codec: &mut FrameCodec,
-        cache: &mut SessionCodeCache,
-        format: WireFormat,
-    ) -> SessionOutcome {
-        let a: Vec<SpreadCode> = a_idx.iter().map(|&k| pool[k].clone()).collect();
-        let b: Vec<SpreadCode> = b_idx.iter().map(|&k| pool[k].clone()).collect();
-        let jammer = jam.map(|j| j.instantiate(pool));
-        let r = crate::chiplink::run_handshake_resilient_fmt(
-            params,
-            authority,
-            &a,
-            &b,
-            shared_a,
-            shared_b,
-            jammer.as_ref(),
-            seed,
-            codec,
-            Some(cache),
-            None,
-            retry,
-            format,
-        );
-        SessionOutcome {
-            report: r.report,
-            attempts: r.attempts,
-            degraded: r.degraded,
-            backoff_s: r.backoff_s,
-        }
-    }
+    use crate::chiplink::run_link;
 
     /// Runs `specs` sequentially, one resilient handshake per leg,
     /// returning outcomes in spec order.
@@ -904,62 +575,66 @@ pub mod reference {
         specs: &[SessionSpec],
         format: WireFormat,
     ) -> Vec<SessionOutcome> {
-        let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-        let mut cache = SessionCodeCache::new(1024);
+        let options = LinkOptions {
+            retry: *retry,
+            faults: None,
+            format,
+        };
+        let mut pools = LinkPools::new(params);
+        let mut leg = |a_idx: &[usize],
+                       b_idx: &[usize],
+                       shared_a: usize,
+                       shared_b: usize,
+                       jam: Option<&JamSpec>,
+                       seed: u64| {
+            let a: Vec<SpreadCode> = a_idx.iter().map(|&k| pool[k].clone()).collect();
+            let b: Vec<SpreadCode> = b_idx.iter().map(|&k| pool[k].clone()).collect();
+            let jammer = jam.map(|j| j.instantiate(pool));
+            let spec = LinkSpec {
+                a_codes: &a,
+                b_codes: &b,
+                shared_a,
+                shared_b,
+                jammer: jammer.as_ref(),
+                seed,
+            };
+            let r = run_link(params, authority, &spec, &options, &mut pools);
+            SessionOutcome {
+                report: r.report,
+                attempts: r.attempts,
+                degraded: r.degraded,
+                backoff_s: r.backoff_s,
+            }
+        };
         specs
             .iter()
             .map(|spec| {
-                let (b1, sb1): (&[usize], usize) = match &spec.kind {
-                    SessionKind::Direct => (&spec.b_codes, spec.shared_b),
-                    SessionKind::MultiHop {
-                        relay_a_codes,
-                        relay_shared_a,
-                        ..
-                    } => (relay_a_codes, *relay_shared_a),
-                };
-                let leg1 = run_leg(
-                    params,
-                    authority,
-                    pool,
-                    retry,
+                let (b1, sb1) = spec.leg1_peer();
+                let leg1 = leg(
                     &spec.a_codes,
                     b1,
                     spec.shared_a,
                     sb1,
                     spec.jammer.as_ref(),
                     spec.seed,
-                    &mut codec,
-                    &mut cache,
-                    format,
                 );
                 match &spec.kind {
-                    SessionKind::Direct => leg1,
                     SessionKind::MultiHop {
                         relay_b_codes,
                         relay_shared_b,
                         ..
-                    } => {
-                        if leg1.degraded {
-                            leg1
-                        } else {
-                            let leg2 = run_leg(
-                                params,
-                                authority,
-                                pool,
-                                retry,
-                                relay_b_codes,
-                                &spec.b_codes,
-                                *relay_shared_b,
-                                spec.shared_b,
-                                None,
-                                spec.seed ^ MNDP_LEG2_SALT,
-                                &mut codec,
-                                &mut cache,
-                                format,
-                            );
-                            super::merge_mndp_legs(leg1, leg2)
-                        }
+                    } if !leg1.degraded => {
+                        let leg2 = leg(
+                            relay_b_codes,
+                            &spec.b_codes,
+                            *relay_shared_b,
+                            spec.shared_b,
+                            None,
+                            spec.seed ^ MNDP_LEG2_SALT,
+                        );
+                        merge_mndp_legs(leg1, leg2)
                     }
+                    _ => leg1,
                 }
             })
             .collect()
@@ -970,6 +645,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn chip_params() -> Params {
         let mut p = Params::table1();
@@ -1138,7 +814,7 @@ mod tests {
 
     #[test]
     fn engine_with_no_retries_reproduces_the_one_shot_driver() {
-        use crate::chiplink::run_handshake_cached;
+        use crate::chiplink::{run_link, LinkOptions, LinkPools, LinkSpec};
         let params = chip_params();
         let authority = Authority::from_seed(b"engine");
         let pool = pool(11, 8, params.n_chips);
@@ -1155,21 +831,21 @@ mod tests {
         let got = &engine.run(std::slice::from_ref(spec))[0];
         let a: Vec<SpreadCode> = spec.a_codes.iter().map(|&k| pool[k].clone()).collect();
         let b: Vec<SpreadCode> = spec.b_codes.iter().map(|&k| pool[k].clone()).collect();
-        let mut codec = FrameCodec::new(params.mu).unwrap();
-        let mut cache = SessionCodeCache::new(16);
-        let legacy = run_handshake_cached(
+        let one_shot = run_link(
             &params,
             &authority,
-            &a,
-            &b,
-            spec.shared_a,
-            spec.shared_b,
-            None,
-            spec.seed,
-            &mut codec,
-            &mut cache,
+            &LinkSpec {
+                a_codes: &a,
+                b_codes: &b,
+                shared_a: spec.shared_a,
+                shared_b: spec.shared_b,
+                jammer: None,
+                seed: spec.seed,
+            },
+            &LinkOptions::default(),
+            &mut LinkPools::new(&params),
         );
-        assert_eq!(got.report, legacy);
+        assert_eq!(got.report, one_shot.report);
         assert_eq!(got.attempts, 1);
         assert!(!got.degraded);
         assert_eq!(got.backoff_s, 0.0);

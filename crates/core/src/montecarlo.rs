@@ -257,17 +257,11 @@ pub fn run_many_instrumented(
     run_many_inner(config, None, reps, base_seed, threads)
 }
 
-fn run_many_inner(
-    config: &ExperimentConfig,
-    resilience: Option<&ResilienceConfig>,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> (Aggregate, RunPerf) {
-    assert!(reps > 0, "need at least one repetition");
-    assert!(threads != Some(0), "need at least one worker thread");
-    config.params.validate().expect("invalid parameters");
-    let threads = threads
+/// Worker-thread count shared by every parallel driver: `explicit` if
+/// given, else a positive `JRSND_THREADS`, else available parallelism.
+/// Callers apply their own clamp.
+pub(crate) fn resolve_threads(explicit: Option<usize>) -> usize {
+    explicit
         .or_else(|| {
             std::env::var("JRSND_THREADS")
                 .ok()
@@ -279,7 +273,19 @@ fn run_many_inner(
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-        .min(reps);
+}
+
+fn run_many_inner(
+    config: &ExperimentConfig,
+    resilience: Option<&ResilienceConfig>,
+    reps: usize,
+    base_seed: u64,
+    threads: Option<usize>,
+) -> (Aggregate, RunPerf) {
+    assert!(reps > 0, "need at least one repetition");
+    assert!(threads != Some(0), "need at least one worker thread");
+    config.params.validate().expect("invalid parameters");
+    let threads = resolve_threads(threads).min(reps);
     let start = Instant::now();
     let mut results: Vec<Option<RunResult>> = Vec::with_capacity(reps);
     // One contiguous chunk of seed indices per worker. The chunk size is

@@ -8,40 +8,10 @@
 //! scope — they are fresh per handshake by design; this pins down the hot
 //! per-tick machinery the batch engine pools per shard.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "../../../tests/support/alloc_count.rs"]
+mod alloc_count;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LAST_SIZE: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LAST_SIZE.store(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LAST_SIZE.store(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use alloc_count::count_allocs;
 use jrsnd::messages::{FrameCodec, WireConfig};
 use jrsnd::params::Params;
 use jrsnd_dsss::channel::ChipChannel;
@@ -86,7 +56,9 @@ fn warm_shared_scan_pass_makes_zero_allocations() {
     }
     let chunk_len = offset as usize;
 
-    // Pooled scratch, exactly the engine's per-shard set.
+    // Pooled scratch: the render, prefix-sum, frame, scan, and decode
+    // buffers the engine holds per shard in its `LinkPools`, plus the
+    // re-pointed session bank.
     let mut chunk_buf: Vec<i32> = Vec::new();
     let mut prefix = PrefixSums::new();
     let mut session_bank = MultiCorrelator::new(&[]);
@@ -180,34 +152,32 @@ fn warm_shared_scan_pass_makes_zero_allocations() {
     }
 
     // Steady state: the identical pass, counted, must not allocate.
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let hits = shared_pass(
-        &channel,
-        chunk_len,
-        n,
-        params.tau,
-        hello_coded.len(),
-        hello_bits.len(),
-        &sessions,
-        &windows,
-        &pool_bank,
-        &mut chunk_buf,
-        &mut prefix,
-        &mut session_bank,
-        &mut frame,
-        &mut scan_scratch,
-        &mut decoded,
-        &mut codec,
-    );
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut hits = 0;
+    let allocs = count_allocs(|| {
+        hits = shared_pass(
+            &channel,
+            chunk_len,
+            n,
+            params.tau,
+            hello_coded.len(),
+            hello_bits.len(),
+            &sessions,
+            &windows,
+            &pool_bank,
+            &mut chunk_buf,
+            &mut prefix,
+            &mut session_bank,
+            &mut frame,
+            &mut scan_scratch,
+            &mut decoded,
+            &mut codec,
+        );
+    });
     assert_eq!(hits, 2, "warm pass reproduces the warm-up verdicts");
     assert_eq!(
-        allocs,
-        0,
-        "warm shared-pass scan machinery allocated {allocs} times (last size {})",
-        LAST_SIZE.load(Ordering::SeqCst)
+        allocs.count, 0,
+        "warm shared-pass scan machinery allocated {} times (last size {})",
+        allocs.count, allocs.last_size
     );
 }
 
@@ -276,21 +246,18 @@ fn warm_packed_wire_datapath_makes_zero_allocations() {
         );
     }
 
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    packed_pass(
-        &w,
-        &mut codec,
-        &mut hello_frame_buf,
-        &mut hello_coded,
-        &auth_frame,
-    );
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs = count_allocs(|| {
+        packed_pass(
+            &w,
+            &mut codec,
+            &mut hello_frame_buf,
+            &mut hello_coded,
+            &auth_frame,
+        );
+    });
     assert_eq!(
-        allocs,
-        0,
-        "warm packed wire datapath allocated {allocs} times (last size {})",
-        LAST_SIZE.load(Ordering::SeqCst)
+        allocs.count, 0,
+        "warm packed wire datapath allocated {} times (last size {})",
+        allocs.count, allocs.last_size
     );
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example chip_level_link
 //! ```
 
-use jr_snd::core::chiplink::{run_handshake, ChipJammer, Stage};
+use jr_snd::core::chiplink::{run_link, ChipJammer, LinkOptions, LinkPools, LinkSpec, Stage};
 use jr_snd::core::params::Params;
 use jr_snd::crypto::ibc::Authority;
 use jr_snd::dsss::code::SpreadCode;
@@ -43,8 +43,26 @@ fn main() {
         b_codes.len()
     );
 
-    let run = |label: &str, jammer: Option<&ChipJammer>, seed: u64| {
-        let report = run_handshake(&params, &authority, &a_codes, &b_codes, 1, 1, jammer, seed);
+    // One set of pools (ECC codec, session-code cache, staging buffers)
+    // serves every run; pools change work, never outcomes.
+    let mut pools = LinkPools::new(&params);
+    let mut run = |label: &str, jammer: Option<&ChipJammer>, seed: u64| {
+        let spec = LinkSpec {
+            a_codes: &a_codes,
+            b_codes: &b_codes,
+            shared_a: 1,
+            shared_b: 1,
+            jammer,
+            seed,
+        };
+        let report = run_link(
+            &params,
+            &authority,
+            &spec,
+            &LinkOptions::default(),
+            &mut pools,
+        )
+        .report;
         println!(
             "{label:<46} stage: {:?}, discovered: {}, scan cost: {} correlations",
             report.stage, report.discovered, report.scan_correlations

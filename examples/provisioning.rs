@@ -6,7 +6,7 @@
 //! cargo run --release --example provisioning
 //! ```
 
-use jr_snd::core::chiplink::run_handshake;
+use jr_snd::core::chiplink::{run_link, LinkOptions, LinkPools, LinkSpec};
 use jr_snd::core::deployment::Deployment;
 use jr_snd::core::params::Params;
 
@@ -64,16 +64,22 @@ fn main() {
             .iter()
             .position(|&c| c == code)
             .unwrap();
-        let report = run_handshake(
+        let spec = LinkSpec {
+            a_codes: &a_codes,
+            b_codes: &b_codes,
+            shared_a: ia,
+            shared_b: ib,
+            jammer: None,
+            seed: 7,
+        };
+        let report = run_link(
             deployment.params(),
             deployment.authority(),
-            &a_codes,
-            &b_codes,
-            ia,
-            ib,
-            None,
-            7,
-        );
+            &spec,
+            &LinkOptions::default(),
+            &mut LinkPools::new(deployment.params()),
+        )
+        .report;
         println!(
             "chip-level D-NDP handshake over {code}: stage {:?}, discovered = {}",
             report.stage, report.discovered

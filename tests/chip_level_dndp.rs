@@ -4,7 +4,9 @@
 //! sync → de-spread → ECC decode → IBC authentication → session code),
 //! with outcomes matching what the Monte-Carlo model assumes.
 
-use jr_snd::core::chiplink::{run_handshake, ChipJammer, Stage};
+use jr_snd::core::chiplink::{
+    run_link, ChipJammer, HandshakeReport, LinkOptions, LinkPools, LinkSpec, Stage,
+};
 use jr_snd::core::params::Params;
 use jr_snd::crypto::ibc::Authority;
 use jr_snd::dsss::code::SpreadCode;
@@ -23,6 +25,33 @@ struct Setup {
     shared: SpreadCode,
     a_codes: Vec<SpreadCode>,
     b_codes: Vec<SpreadCode>,
+}
+
+impl Setup {
+    /// The link between A and B over the shared code at index 1.
+    fn link<'a>(&'a self, jammer: Option<&'a ChipJammer>, seed: u64) -> LinkSpec<'a> {
+        LinkSpec {
+            a_codes: &self.a_codes,
+            b_codes: &self.b_codes,
+            shared_a: 1,
+            shared_b: 1,
+            jammer,
+            seed,
+        }
+    }
+}
+
+/// One attempt of the single-link driver on a clean channel.
+fn handshake(params: &Params, authority: &Authority, spec: LinkSpec<'_>) -> HandshakeReport {
+    let mut pools = LinkPools::new(params);
+    run_link(
+        params,
+        authority,
+        &spec,
+        &LinkOptions::default(),
+        &mut pools,
+    )
+    .report
 }
 
 fn setup(seed: u64) -> Setup {
@@ -52,16 +81,7 @@ fn setup(seed: u64) -> Setup {
 fn handshake_succeeds_across_many_seeds() {
     let s = setup(1);
     for seed in 0..10 {
-        let r = run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            None,
-            seed,
-        );
+        let r = handshake(&s.params, &s.authority, s.link(None, seed));
         assert_eq!(r.stage, Stage::Complete, "seed {seed}");
         assert!(r.discovered);
     }
@@ -78,15 +98,10 @@ fn jamming_outcome_matches_protocol_model() {
     let unrelated = ChipJammer::from_start(SpreadCode::random(s.params.n_chips, &mut rng), 1.0, 1);
     let mut survived = 0;
     for seed in 0..5 {
-        if run_handshake(
+        if handshake(
             &s.params,
             &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&unrelated),
-            1000 + seed,
+            s.link(Some(&unrelated), 1000 + seed),
         )
         .discovered
         {
@@ -100,18 +115,7 @@ fn jamming_outcome_matches_protocol_model() {
     let knowing = ChipJammer::from_start(s.shared.clone(), 1.0, 3);
     let mut killed = 0;
     for seed in 0..5 {
-        if !run_handshake(
-            &s.params,
-            &s.authority,
-            &s.a_codes,
-            &s.b_codes,
-            1,
-            1,
-            Some(&knowing),
-            2000 + seed,
-        )
-        .discovered
-        {
+        if !handshake(&s.params, &s.authority, s.link(Some(&knowing), 2000 + seed)).discovered {
             killed += 1;
         }
     }
@@ -124,16 +128,7 @@ fn mu_threshold_separates_survivable_from_fatal_jamming() {
     // handshake dies — the bit-level mechanism behind Theorem 1's beta.
     let s = setup(3);
     let below = ChipJammer::from_start(s.shared.clone(), 0.2, 1);
-    let r = run_handshake(
-        &s.params,
-        &s.authority,
-        &s.a_codes,
-        &s.b_codes,
-        1,
-        1,
-        Some(&below),
-        77,
-    );
+    let r = handshake(&s.params, &s.authority, s.link(Some(&below), 77));
     assert!(
         r.discovered,
         "20% coverage must be absorbed, stage {:?}",
@@ -141,16 +136,7 @@ fn mu_threshold_separates_survivable_from_fatal_jamming() {
     );
 
     let above = ChipJammer::from_start(s.shared.clone(), 0.95, 3);
-    let r = run_handshake(
-        &s.params,
-        &s.authority,
-        &s.a_codes,
-        &s.b_codes,
-        1,
-        1,
-        Some(&above),
-        78,
-    );
+    let r = handshake(&s.params, &s.authority, s.link(Some(&above), 78));
     assert!(!r.discovered, "95% correct-code coverage must be fatal");
 }
 
@@ -170,7 +156,15 @@ fn gold_codes_support_the_papers_tau_at_full_length() {
     let a_codes = vec![family.code(20), family.code(10)];
     let b_codes = vec![family.code(40), family.code(20)];
     let authority = Authority::from_seed(b"gold");
-    let r = run_handshake(&params, &authority, &a_codes, &b_codes, 0, 1, None, 7);
+    let link = |jammer, seed| LinkSpec {
+        a_codes: &a_codes,
+        b_codes: &b_codes,
+        shared_a: 0,
+        shared_b: 1,
+        jammer,
+        seed,
+    };
+    let r = handshake(&params, &authority, link(None, 7));
     assert_eq!(
         r.stage,
         Stage::Complete,
@@ -179,16 +173,7 @@ fn gold_codes_support_the_papers_tau_at_full_length() {
     assert!(r.discovered);
     // And a jammer holding a *different* Gold code still cannot interfere.
     let jammer = ChipJammer::from_start(family.code(99), 1.0, 1);
-    let r = run_handshake(
-        &params,
-        &authority,
-        &a_codes,
-        &b_codes,
-        0,
-        1,
-        Some(&jammer),
-        8,
-    );
+    let r = handshake(&params, &authority, link(Some(&jammer), 8));
     assert!(r.discovered, "stage {:?}", r.stage);
 }
 
@@ -202,25 +187,21 @@ fn scan_work_scales_with_code_set_like_lambda_predicts() {
     for _ in 0..3 {
         b_many.push(SpreadCode::random(s3.params.n_chips, &mut rng));
     }
-    let r3 = run_handshake(
+    let r3 = handshake(
         &s3.params,
         &s3.authority,
-        &s3.a_codes,
-        &s3.b_codes,
-        1,
-        1,
-        None,
-        1,
+        LinkSpec {
+            b_codes: &s3.b_codes,
+            ..s3.link(None, 1)
+        },
     );
-    let r6 = run_handshake(
+    let r6 = handshake(
         &s3.params,
         &s3.authority,
-        &s3.a_codes,
-        &b_many,
-        1,
-        1,
-        None,
-        1,
+        LinkSpec {
+            b_codes: &b_many,
+            ..s3.link(None, 1)
+        },
     );
     assert!(r3.discovered && r6.discovered);
     let ratio = r6.scan_correlations as f64 / r3.scan_correlations as f64;

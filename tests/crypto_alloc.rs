@@ -1,50 +1,22 @@
 //! Proves the steady-state crypto datapath is allocation-free.
 //!
-//! A counting global allocator wraps `System`; after one warm-up pass
+//! The thread-scoped counting allocator in `tests/support` wraps
+//! `System`; after one warm-up pass
 //! populates the `PrfScratch` buffers, the precomputed `HmacKey` states,
 //! and the caller-owned output vectors, further MAC / PRF / session-code
 //! derivations of the same shapes must perform **zero** heap allocations.
 //! This lives outside `jrsnd-crypto` because the crate itself forbids
 //! `unsafe`, which a `GlobalAlloc` impl requires.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "support/alloc_count.rs"]
+mod alloc_count;
 
+use alloc_count::count_allocs;
 use jrsnd_crypto::hmac::{mac_lanes, HmacKey};
 use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::prf::prf_expand_bits_into;
 use jrsnd_crypto::session::derive_session_code_with;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations it performed.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn precomputed_mac_is_allocation_free() {
@@ -59,7 +31,11 @@ fn precomputed_mac_is_allocation_free() {
             sink = key.mac_parts(&[b"f_K", &sink, b"tail"]);
         }
     });
-    assert_eq!(allocs, 0, "steady-state MACs must not allocate");
+    assert_eq!(
+        allocs.count, 0,
+        "steady-state MACs must not allocate (last size {} bytes)",
+        allocs.last_size
+    );
     assert_ne!(sink, [0u8; 32]);
 }
 
@@ -75,7 +51,11 @@ fn lane_parallel_macs_are_allocation_free() {
             tags = mac_lanes(key_refs, msg_refs);
         }
     });
-    assert_eq!(allocs, 0, "mac_lanes must not allocate");
+    assert_eq!(
+        allocs.count, 0,
+        "mac_lanes must not allocate (last size {} bytes)",
+        allocs.last_size
+    );
     assert_ne!(tags[0], tags[1]);
 }
 
@@ -92,7 +72,11 @@ fn warm_prf_expansion_is_allocation_free() {
             prf_expand_bits_into(&key, b"label", &[round], 512, &mut out);
         }
     });
-    assert_eq!(allocs, 0, "warm PRF expansion must not allocate");
+    assert_eq!(
+        allocs.count, 0,
+        "warm PRF expansion must not allocate (last size {} bytes)",
+        allocs.last_size
+    );
     assert_eq!(out.len(), 512);
 }
 
@@ -128,6 +112,10 @@ fn warm_session_code_derivation_is_allocation_free() {
             );
         }
     });
-    assert_eq!(allocs, 0, "warm session-code derivation must not allocate");
+    assert_eq!(
+        allocs.count, 0,
+        "warm session-code derivation must not allocate (last size {} bytes)",
+        allocs.last_size
+    );
     assert_eq!(code.len(), 512);
 }

@@ -96,7 +96,7 @@ fn different_seeds_give_statistically_distinct_runs() {
 
 #[test]
 fn chip_level_handshake_replays() {
-    use jr_snd::core::chiplink::run_handshake;
+    use jr_snd::core::chiplink::{run_link, LinkOptions, LinkPools, LinkSpec};
     use jr_snd::crypto::ibc::Authority;
     use jr_snd::dsss::code::SpreadCode;
     use rand::rngs::StdRng;
@@ -108,7 +108,25 @@ fn chip_level_handshake_replays() {
     let a_codes = vec![shared.clone(), SpreadCode::random(params.n_chips, &mut rng)];
     let b_codes = vec![SpreadCode::random(params.n_chips, &mut rng), shared];
     let authority = Authority::from_seed(b"replay");
-    let r1 = run_handshake(&params, &authority, &a_codes, &b_codes, 0, 1, None, 42);
-    let r2 = run_handshake(&params, &authority, &a_codes, &b_codes, 0, 1, None, 42);
+    let spec = LinkSpec {
+        a_codes: &a_codes,
+        b_codes: &b_codes,
+        shared_a: 0,
+        shared_b: 1,
+        jammer: None,
+        seed: 42,
+    };
+    let run = || {
+        let mut pools = LinkPools::new(&params);
+        run_link(
+            &params,
+            &authority,
+            &spec,
+            &LinkOptions::default(),
+            &mut pools,
+        )
+    };
+    let r1 = run();
+    let r2 = run();
     assert_eq!(r1, r2);
 }

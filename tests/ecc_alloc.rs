@@ -1,48 +1,20 @@
 //! Proves the steady-state ECC datapath is allocation-free.
 //!
-//! A counting global allocator wraps `System`; after one warm-up frame
+//! The thread-scoped counting allocator in `tests/support` wraps
+//! `System`; after one warm-up frame
 //! populates the `ExpansionScratch` buffers and the cached `RsCode`
 //! tables, further encode/decode round-trips of the same geometry must
 //! perform **zero** heap allocations. This lives outside `jrsnd-ecc`
 //! because the crate itself forbids `unsafe`, which a `GlobalAlloc` impl
 //! requires.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "support/alloc_count.rs"]
+mod alloc_count;
 
+use alloc_count::count_allocs;
 use jrsnd_ecc::expand::{ExpansionCode, ExpansionScratch};
 use jrsnd_ecc::rs::{RsCode, RsScratch};
 use rand::{Rng, SeedableRng};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations it performed.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn rs_encode_decode_steady_state_is_allocation_free() {
@@ -73,7 +45,11 @@ fn rs_encode_decode_steady_state_is_allocation_free() {
             assert_eq!(&word[..223], &data[..]);
         }
     });
-    assert_eq!(n, 0, "steady-state RS round-trips allocated {n} times");
+    assert_eq!(
+        n.count, 0,
+        "steady-state RS round-trips allocated {} times (last size {} bytes)",
+        n.count, n.last_size
+    );
 }
 
 #[test]
@@ -115,7 +91,8 @@ fn expansion_round_trip_steady_state_is_allocation_free() {
         }
     });
     assert_eq!(
-        n, 0,
-        "steady-state expansion round-trips allocated {n} times"
+        n.count, 0,
+        "steady-state expansion round-trips allocated {} times (last size {} bytes)",
+        n.count, n.last_size
     );
 }

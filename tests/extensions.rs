@@ -132,7 +132,7 @@ fn derived_pool_supports_the_chip_level_handshake() {
     // The authority's PRF-derived secret pool plugs straight into the
     // chip-level path: draw two nodes' codes from it (sharing one) and
     // complete a handshake at tau scaled for the short test codes.
-    use jr_snd::core::chiplink::{run_handshake, Stage};
+    use jr_snd::core::chiplink::{run_link, LinkOptions, LinkPools, LinkSpec, Stage};
     use jr_snd::crypto::ibc::Authority;
     use jr_snd::dsss::code::CodeId;
     let mut params = Params::table1();
@@ -142,7 +142,22 @@ fn derived_pool_supports_the_chip_level_handshake() {
     let a_codes = vec![pool.code(CodeId(3)).clone(), pool.code(CodeId(17)).clone()];
     let b_codes = vec![pool.code(CodeId(42)).clone(), pool.code(CodeId(17)).clone()];
     let authority = Authority::from_seed(b"deployment master secret");
-    let r = run_handshake(&params, &authority, &a_codes, &b_codes, 1, 1, None, 3);
+    let spec = LinkSpec {
+        a_codes: &a_codes,
+        b_codes: &b_codes,
+        shared_a: 1,
+        shared_b: 1,
+        jammer: None,
+        seed: 3,
+    };
+    let r = run_link(
+        &params,
+        &authority,
+        &spec,
+        &LinkOptions::default(),
+        &mut LinkPools::new(&params),
+    )
+    .report;
     assert_eq!(r.stage, Stage::Complete);
     assert!(r.discovered);
 }
