@@ -1,12 +1,16 @@
 //! DSSS micro-benchmarks: the bit-packed correlator (and its naive
-//! baseline — the ablation justifying the representation), spreading, and
-//! the sliding-window scan whose cost is the paper's ρ.
+//! baseline — the ablation justifying the representation), spreading, the
+//! sliding-window scan whose cost is the paper's ρ, and the bit-plane
+//! block kernel behind that scan.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jrsnd_dsss::channel::{self, ChipChannel};
 use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
-use jrsnd_dsss::spread::{correlate_window, despread_from_channel, despread_levels, spread};
+use jrsnd_dsss::correlate::MultiCorrelator;
+use jrsnd_dsss::spread::{
+    correlate_window, despread_from_channel, despread_levels, reference as spread_reference, spread,
+};
 use jrsnd_dsss::sync::{reference as sync_reference, scan, scan_all};
 use rand::{Rng, SeedableRng};
 
@@ -130,6 +134,49 @@ fn bench_scan_all_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// One sweep block of the HELLO sync scan: 64 consecutive offsets against
+/// an m = 4 bank of 256-chip codes over a jammed chunk (a frame under
+/// same-code garbage at amplitude 3, so the buffer needs four bit planes).
+/// `fast` is the bit-plane popcount kernel; `reference` is the
+/// chip-at-a-time oracle over the same 256 (offset, code) pairs.
+fn bench_scan_block(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let (n, m, count) = (256usize, 4usize, 64usize);
+    let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut rng)).collect();
+    let refs: Vec<&SpreadCode> = codes.iter().collect();
+    let msg: Vec<bool> = (0..4).map(|_| rng.gen()).collect();
+    let garbage: Vec<bool> = (0..4).map(|_| rng.gen()).collect();
+    let mut chan = ChipChannel::new(0);
+    chan.transmit(0, spread(&msg, &codes[2]), 1);
+    chan.transmit(0, spread(&garbage, &codes[2]), 3);
+    let samples = chan.render(0, msg.len() * n);
+    let bank = MultiCorrelator::new(&refs);
+    let scanner = bank.scanner(&samples);
+    let start = 37;
+    let mut group = c.benchmark_group("scan_block");
+    group.throughput(Throughput::Elements((count * m) as u64));
+    group.bench_function("fast/n256_m4", |b| {
+        let mut out = vec![0.0; count * m];
+        b.iter(|| {
+            scanner.correlate_block(start, count, &mut out);
+            black_box(out[count * m - 1])
+        })
+    });
+    group.bench_function("reference/n256_m4", |b| {
+        let mut out = vec![0.0; count * m];
+        b.iter(|| {
+            for (i, row) in out.chunks_exact_mut(m).enumerate() {
+                let window = &samples[start + i..start + i + n];
+                for (o, code) in row.iter_mut().zip(&codes) {
+                    *o = spread_reference::correlate_window(window, code);
+                }
+            }
+            black_box(out[count * m - 1])
+        })
+    });
+    group.finish();
+}
+
 /// A busy chip medium at n = 512: eight concurrent staggered frames plus
 /// background noise — the workload named in the ISSUE acceptance criteria.
 fn busy_channel(n: usize) -> (ChipChannel, usize) {
@@ -212,6 +259,7 @@ criterion_group!(
     bench_spread_despread,
     bench_sliding_scan,
     bench_scan_all_throughput,
+    bench_scan_block,
     bench_channel_render,
     bench_fused_despread,
     bench_gold_codes

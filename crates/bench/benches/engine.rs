@@ -5,7 +5,7 @@
 //! * `engine/fast/...` vs `engine/reference/...` — the "m receivers, one
 //!   pass" shared-scan primitive the engine's HELLO phase is built on:
 //!   `m` receivers scanning the **same** rendered broadcast window pay one
-//!   render and one `i64` prefix-sum pass ([`MultiCorrelator::scanner_in`])
+//!   render and one prefix-sum + bit-plane pass ([`MultiCorrelator::scanner_in`])
 //!   instead of a private render + prefix pass each
 //!   ([`MultiCorrelator::scanner`]). Identical hits and decodes, checked at
 //!   setup. This pair is ratio-gated by `bench_check`.

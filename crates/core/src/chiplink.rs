@@ -172,7 +172,7 @@ pub struct LinkPools {
     decoded: Vec<bool>,
     frame: Frame,
     scan: ScanScratch,
-    /// The rendered HELLO window(s) and their prefix sums.
+    /// The rendered HELLO window(s) and their prefix sums and bit planes.
     render: Vec<i32>,
     prefix: PrefixSums,
 }
@@ -202,7 +202,8 @@ impl LinkPools {
     }
 
     /// Renders `len` chips of `channel` from chip `start` and computes
-    /// their prefix sums: the window every [`Link::hear_hello`] scans.
+    /// their prefix sums and bit planes: the window every
+    /// [`Link::hear_hello`] scans.
     pub(crate) fn render(&mut self, channel: &ChipChannel, start: u64, len: usize) {
         channel.render_into(&mut self.render, start, len);
         self.prefix.compute(&self.render);

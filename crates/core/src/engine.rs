@@ -17,11 +17,11 @@
 //! * **"m receivers, one pass."** All sessions of a shard that broadcast a
 //!   HELLO in the same tick land on one shared `LinkMedium` at disjoint
 //!   chip windows. The engine renders the whole chunk once and computes
-//!   **one** exact `i64` prefix-sum pass over it
-//!   ([`jrsnd_dsss::correlate::PrefixSums`]); every receiver's
-//!   sliding-window scan then borrows its window's totals via
-//!   [`MultiCorrelator::scanner_in`] instead of re-summing — `m`
-//!   receivers, one `O(len)` pass.
+//!   **one** pass over it ([`jrsnd_dsss::correlate::PrefixSums`]: exact
+//!   `i64` prefix sums plus the bit planes of the correlation kernel);
+//!   every receiver's sliding-window scan then borrows its window's totals
+//!   and planes via [`MultiCorrelator::scanner_in`] instead of
+//!   recomputing them — `m` receivers, one `O(len)` pass.
 //! * **Pooled scratch.** One [`LinkPools`] (frame codec, session-code
 //!   cache, staging / frame / scan / render scratch) and one correlator
 //!   bank per shard, reused by every session; the warm engine makes no
@@ -42,8 +42,10 @@
 //! the channel's noise threshold, which stays 0), so a rendered window
 //! containing only one session's transmissions is a pure translation of
 //! what that session's private channel would render; disjoint cursor
-//! windows guarantee exactly that. Shared prefix sums are exact `i64`
-//! arithmetic — `sums[base+o+n] − sums[base+o]` equals the private sum.
+//! windows guarantee exactly that. Shared prefix sums and bit planes are
+//! exact integer arithmetic — `sums[base+o+n] − sums[base+o]` equals the
+//! private sum, and the plane words at `base + o` give the same
+//! positive-chip sums.
 //! Pooled codecs, caches, and scratch change *work*, never outcomes. Each
 //! session draws jam garbage and nonces from its own attempt-seeded RNG, so
 //! interleaving sessions cannot perturb any draw. The one deliberate

@@ -1,8 +1,11 @@
 //! Counting-allocator proof that the engine's shared-pass scan machinery
 //! is allocation-free once warm: rendering a chunk of HELLO windows,
-//! computing the one shared prefix-sum pass, re-pointing the pooled
-//! per-session bank, and running the full sliding-window scan + frame
-//! decode + ECC decode touches the heap **zero** times in steady state.
+//! computing the one shared prefix-sum and bit-plane pass, re-pointing the
+//! pooled per-session bank, and running the full sliding-window scan +
+//! frame decode + ECC decode touches the heap **zero** times in steady
+//! state. One session's HELLO is under same-code jam at amplitude 3, so
+//! the chunk needs four bit planes (not the clean medium's two) and the
+//! scan runs its trigger/refinement path on every jammed bit.
 //!
 //! Endpoint frames (nonces, CONFIRM/AUTH payloads) are deliberately out of
 //! scope — they are fresh per handshake by design; this pins down the hot
@@ -20,7 +23,7 @@ use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
 use jrsnd_dsss::spread::spread;
 use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn warm_shared_scan_pass_makes_zero_allocations() {
@@ -34,22 +37,33 @@ fn warm_shared_scan_pass_makes_zero_allocations() {
     let pool_refs: Vec<&SpreadCode> = pool.iter().collect();
     let pool_bank = MultiCorrelator::new(&pool_refs);
 
-    // Two sessions' HELLO broadcasts on one shared medium: session 0
-    // spreads with codes {0,1}, session 1 with codes {2,3}. The receivers
-    // listen with banks {1,4} and {3,5} (code 1 / code 3 shared).
+    // Three sessions' HELLO broadcasts on one shared medium. Session 0
+    // spreads with code 4 under a same-code jammer; its receiver listens
+    // with {4,5} for code 5, which nobody sends, so it scans the whole
+    // jammed window and never stops early. Session 1 spreads with codes
+    // {0,1}, session 2 with {2,3}; their receivers listen with banks {1,4}
+    // and {3,5} (code 1 / code 3 shared) and must recover their HELLOs.
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
     let hello_bits: Vec<bool> = (0..wire.hello_bits()).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
     codec.encode_into(&hello_bits, &mut hello_coded).unwrap();
     let msg_chips = hello_coded.len() * n;
     let mut channel = ChipChannel::new(1);
-    let sessions: [(&[usize], &[usize], usize); 2] = [(&[0, 1], &[1, 4], 0), (&[2, 3], &[3, 5], 0)];
+    let sessions: [(&[usize], &[usize], usize); 3] = [
+        (&[4], &[4, 5], 1),
+        (&[0, 1], &[1, 4], 0),
+        (&[2, 3], &[3, 5], 0),
+    ];
     let mut offset = 0u64;
     let mut windows: Vec<(usize, usize)> = Vec::new(); // (rel, span) per session
-    for (a_idx, _, _) in sessions {
+    for (si, (a_idx, _, _)) in sessions.iter().enumerate() {
         let rel = offset as usize;
-        for &k in a_idx {
+        for &k in a_idx.iter() {
             channel.transmit(offset, spread(&hello_coded, &pool[k]), 1);
+            if si == 0 {
+                let garbage: Vec<bool> = (0..hello_coded.len()).map(|_| rng.gen()).collect();
+                channel.transmit(offset, spread(&garbage, &pool[k]), 3);
+            }
             offset += msg_chips as u64;
         }
         windows.push((rel, offset as usize - rel));
@@ -70,7 +84,7 @@ fn warm_shared_scan_pass_makes_zero_allocations() {
     let mut decoded: Vec<bool> = Vec::new();
 
     /// One full shared-pass scan over the chunk: ONE render and ONE
-    /// prefix-sum pass serve both receivers.
+    /// prefix-sum and bit-plane pass serve every receiver.
     #[allow(clippy::too_many_arguments)]
     fn shared_pass<'p>(
         channel: &ChipChannel,

@@ -6,28 +6,49 @@
 //! processing/buffering gap λ = ρNmR of the latency analysis. This module
 //! is the fast path for that computation.
 //!
-//! The trick: chips are ±1 and already bit-packed ([`ChipSeq`]), so with
-//! `P = Σ_{cᵢ=+1} sᵢ` (the positive-chip partial sum) and `T = Σ sᵢ` (the
-//! window total),
+//! Chips are ±1 and already bit-packed ([`ChipSeq`](crate::chip::ChipSeq)),
+//! so with `P = Σ_{cᵢ=+1} sᵢ` (the positive-chip partial sum) and
+//! `T = Σ sᵢ` (the window total),
 //!
 //! ```text
 //! Σ sᵢ·cᵢ = 2·P − T.
 //! ```
 //!
 //! `T` is independent of the code, so one prefix-sum pass over the buffer
-//! serves every `(offset, code)` pair — the sliding window never re-reads
-//! samples to re-total them. `P` is a branch-free masked sum (`s & e` per
-//! lane with widening `i64` accumulation, no per-chip `chip(i)` calls) over
-//! mask rows expanded once from the bit-packed code words, and
-//! [`MultiCorrelator`] evaluates all `m` codes per window so the loaded
-//! window is reused `m` times before sliding on.
+//! serves every `(offset, code)` pair. `P` goes through bit planes: the
+//! same per-buffer pass ([`PrefixSums::compute`]) stores the offset-binary
+//! value `u = s − min` of every sample as `K = bits(max − min)` planes of
+//! packed `u64` words. Rendered samples are small integers — {−1, 0, 1} on
+//! a clean medium, {±2, ±4} under an amplitude-3 jammer — so `K` is 2 to 4
+//! in practice and at most 32 for any `i32` buffer. With `npos` the count
+//! of +1 chips of code `c`,
+//!
+//! ```text
+//! P = Σ_b 2^b · popcnt(plane_b[o..o+N] & c) + min · npos,
+//! ```
+//!
+//! one AND + popcount per 64 chips per plane instead of 64 widening adds.
+//! Every step is exact integer arithmetic, so `2P − T` is the same `i64`
+//! as the chip-at-a-time sum and the normalised `f64` is bit-identical.
+//! The kernel reads a window 256 chips (four words) at a time, realigns
+//! them to the window's chip offset once, and ANDs them with the matching
+//! words of a tile of four codes before moving on — one vector AND +
+//! popcount per code per plane per 256 chips.
 //!
 //! The scalar one-chip-at-a-time implementation survives as the oracle in
 //! [`crate::spread::reference`]; proptests assert the two agree bit-for-bit.
 
 use crate::channel::ChipChannel;
 use crate::code::SpreadCode;
-use crate::simd;
+use crate::spread::correlate_window;
+
+/// Packed words per span: the kernel reads a window 256 chips at a time,
+/// one 256-bit vector of `u64` lanes.
+const SPAN: usize = 4;
+
+/// Codes per tile: each window span extracted from a plane is ANDed with
+/// the matching span of `TILE` codes before the next span is read.
+const TILE: usize = 4;
 
 /// A bank of equal-length candidate codes, laid out for batched window
 /// correlation.
@@ -56,12 +77,15 @@ use crate::simd;
 pub struct MultiCorrelator<'a> {
     codes: Vec<&'a SpreadCode>,
     n: usize,
-    /// Positive-chip masks expanded one `i32` lane per chip (`-1` where the
-    /// chip is +1, `0` where it is −1), one contiguous row per code: the
-    /// partial sum is a branch-free stream of `s & e` with widening `i64`
-    /// accumulation, which autovectorizes. Expanding costs `4·N` bytes per
-    /// code once per bank — repaid on the first scanned offset.
-    pos_masks: Vec<i32>,
+    /// `⌈N/256⌉`, spans per code.
+    spans: usize,
+    /// The codes' packed words in tiles of [`TILE`] codes: span `k` of
+    /// code `t·TILE + l` sits at `(t·spans + k)·TILE + l`. Words past `N`,
+    /// and the codes that pad a short last tile, are zero, which adds
+    /// nothing to any popcount.
+    code_words: Vec<[u64; SPAN]>,
+    /// Number of +1 chips per code, in bank order.
+    npos: Vec<i64>,
 }
 
 impl<'a> MultiCorrelator<'a> {
@@ -78,20 +102,33 @@ impl<'a> MultiCorrelator<'a> {
             codes.iter().all(|c| c.len() == n),
             "all candidate codes must share one chip length"
         );
-        let m = codes.len();
-        let mut pos_masks = vec![0i32; n * m];
-        for (c, code) in codes.iter().enumerate() {
-            let row = &mut pos_masks[c * n..(c + 1) * n];
-            for (w, &word) in code.chips().words().iter().enumerate() {
-                for (k, lane) in row[w * 64..].iter_mut().take(64).enumerate() {
-                    *lane = -(((word >> k) & 1) as i32);
-                }
-            }
-        }
-        MultiCorrelator {
+        let mut bank = MultiCorrelator {
             codes: codes.to_vec(),
             n,
-            pos_masks,
+            spans: 0,
+            code_words: Vec::new(),
+            npos: Vec::new(),
+        };
+        bank.pack();
+        bank
+    }
+
+    /// Lays out the packed words and `npos` of `self.codes`, reusing the
+    /// existing storage.
+    fn pack(&mut self) {
+        let spans = self.n.div_ceil(64 * SPAN);
+        self.spans = spans;
+        self.code_words.clear();
+        self.code_words
+            .resize(self.codes.len().div_ceil(TILE) * spans * TILE, [0; SPAN]);
+        self.npos.clear();
+        for (c, code) in self.codes.iter().enumerate() {
+            let (t, l) = (c / TILE, c % TILE);
+            for (j, &word) in code.chips().words().iter().enumerate() {
+                self.code_words[(t * spans + j / SPAN) * TILE + l][j % SPAN] = word;
+            }
+            let ones: u32 = code.chips().words().iter().map(|x| x.count_ones()).sum();
+            self.npos.push(i64::from(ones));
         }
     }
 
@@ -101,30 +138,22 @@ impl<'a> MultiCorrelator<'a> {
     }
 
     /// Re-points this bank at the pool codes selected by `indices`,
-    /// copying their pre-expanded mask rows instead of re-expanding from
-    /// the bit-packed words. This is how the batch session engine gives
-    /// every session its own (small) bank without paying the `4·N·m`
-    /// expansion per session: one pool-wide bank is expanded once, and
-    /// per-session banks are assembled by row memcpy.
+    /// reusing this bank's storage. This is how the batch session engine
+    /// gives every session its own (small) bank: re-laying out
+    /// `W = ⌈N/64⌉` words per code, with no allocation once warm.
     ///
     /// Correlations through the reassembled bank are bit-identical to a
-    /// fresh [`MultiCorrelator::new`] over the same codes: the rows are
-    /// the same bytes.
+    /// fresh [`MultiCorrelator::new`] over the same codes: the layout is
+    /// the same words.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range for `pool`.
     pub fn assign_from_pool(&mut self, pool: &MultiCorrelator<'a>, indices: &[usize]) {
-        let n = pool.n;
-        self.n = n;
+        self.n = pool.n;
         self.codes.clear();
         self.codes.extend(indices.iter().map(|&i| pool.codes[i]));
-        self.pos_masks.clear();
-        self.pos_masks.reserve(n * indices.len());
-        for &i in indices {
-            self.pos_masks
-                .extend_from_slice(&pool.pos_masks[i * n..(i + 1) * n]);
-        }
+        self.pack();
     }
 
     /// Number of codes `m`.
@@ -142,8 +171,8 @@ impl<'a> MultiCorrelator<'a> {
         self.n
     }
 
-    /// Prepares `samples` for repeated window correlation: one prefix-sum
-    /// pass that every subsequent offset reuses.
+    /// Prepares `samples` for repeated window correlation: one
+    /// prefix-sum and bit-plane pass that every subsequent offset reuses.
     pub fn scanner<'s>(&'s self, samples: &'s [i32]) -> BankScanner<'s, 'a> {
         let mut prefix = PrefixSums::new();
         prefix.compute(samples);
@@ -151,21 +180,22 @@ impl<'a> MultiCorrelator<'a> {
             bank: self,
             samples,
             prefix: Prefix::Owned(prefix),
-            pos_sums: Vec::new(),
         }
     }
 
-    /// Like [`MultiCorrelator::scanner`], but borrows prefix sums computed
-    /// once over a larger shared buffer instead of re-summing this bank's
-    /// slice of it. `samples` must be the sub-slice starting `base` chips
-    /// into the buffer `sums` was computed from.
+    /// Like [`MultiCorrelator::scanner`], but borrows the prefix sums and
+    /// bit planes computed once over a larger shared buffer instead of
+    /// re-deriving them for this bank's slice of it. `samples` must be the
+    /// sub-slice starting `base` chips into the buffer `sums` was computed
+    /// from.
     ///
     /// This is the "m receivers, one pass" shape: when many receivers scan
-    /// (windows of) the same rendered medium, the `O(len)` total pass is
-    /// paid once and every receiver's window totals come from the same
-    /// exact `i64` sums — `sums[base+o+n] − sums[base+o]` is identical to
-    /// what a private [`MultiCorrelator::scanner`] over `samples` would
-    /// compute, so correlations are bit-for-bit unchanged.
+    /// (windows of) the same rendered medium, the `O(len)` pass is paid
+    /// once. Window totals `sums[base+o+n] − sums[base+o]` and the plane
+    /// words at chip `base + o` are exactly what a private
+    /// [`MultiCorrelator::scanner`] over `samples` would use (up to the
+    /// buffer minimum, which the `min · npos` term absorbs), so
+    /// correlations are bit-for-bit unchanged.
     ///
     /// # Panics
     ///
@@ -184,34 +214,62 @@ impl<'a> MultiCorrelator<'a> {
             bank: self,
             samples,
             prefix: Prefix::Shared { sums, base },
-            pos_sums: Vec::new(),
         }
     }
 
-    /// Positive-chip partial sums of one window against every code. The
-    /// window (a few KB) stays hot in L1 while each code's mask row streams
-    /// through once.
-    fn pos_sums_into(&self, window: &[i32], out: &mut [i64]) {
-        debug_assert_eq!(window.len(), self.n);
-        debug_assert_eq!(out.len(), self.codes.len());
-        let level = simd::active();
-        for (c, acc) in out.iter_mut().enumerate() {
-            let row = &self.pos_masks[c * self.n..(c + 1) * self.n];
-            *acc = simd::masked_sum_at(level, window, row);
+    /// `Σ u` over the +1 chips of each code in tile `t`, for the window
+    /// starting at absolute chip `pos` of the buffer behind `planes`
+    /// (`u = s − min`; the `min · npos` term is added by the caller).
+    #[inline(always)]
+    fn tile_sums(&self, planes: &PrefixSums, pos: usize, t: usize) -> [u64; TILE] {
+        let spans = self.spans;
+        let codes = &self.code_words[t * spans * TILE..(t + 1) * spans * TILE];
+        let (q, sh) = (pos / 64, (pos % 64) as u32);
+        let mut acc = [[0u64; SPAN]; TILE];
+        for b in 0..planes.depth {
+            let plane = &planes.plane(b)[q..q + spans * SPAN + 1];
+            for (k, tile) in codes.chunks_exact(TILE).enumerate() {
+                // Window words k·SPAN.. of the plane, realigned to chip
+                // `pos`: each lane takes its high bits from the next word.
+                let p: &[u64; SPAN + 1] = plane[k * SPAN..][..SPAN + 1]
+                    .try_into()
+                    .expect("span + 1 words");
+                let s: [u64; SPAN] =
+                    std::array::from_fn(|i| (p[i] >> sh) | ((p[i + 1] << 1) << (63 - sh)));
+                for (a, code) in acc.iter_mut().zip(tile) {
+                    for i in 0..SPAN {
+                        a[i] += u64::from((s[i] & code[i]).count_ones()) << b;
+                    }
+                }
+            }
         }
+        acc.map(|a| a.iter().sum())
     }
 }
 
-/// Exact `i64` prefix sums of a sample buffer: `sums[k] = Σ_{i<k} s[i]`.
+/// The per-buffer pass every [`BankScanner`] reads: exact `i64` prefix
+/// sums `sums[k] = Σ_{i<k} s[i]` for window totals, and the bit planes of
+/// `u = s − min` for the positive-chip sums (see the module docs).
 ///
 /// Computed once per buffer and shared by every [`BankScanner`] built with
 /// [`MultiCorrelator::scanner_in`], so `m` receivers scanning one rendered
-/// medium pay the total pass once instead of `m` times. The backing vector
-/// is retained across [`PrefixSums::compute`] calls, so a pooled instance
+/// medium pay the pass once instead of `m` times. The backing vectors are
+/// retained across [`PrefixSums::compute`] calls, so a pooled instance
 /// reaches a steady state with no per-use allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSums {
     sums: Vec<i64>,
+    /// `depth` planes of `stride` words each: bit `k` of word `q` of plane
+    /// `b` is bit `b` of `u` at chip `64q + k`.
+    planes: Vec<u64>,
+    /// `⌈len/64⌉ + SPAN`: zero words past the buffer, so a window's last
+    /// span (which may run up to `SPAN − 1` words past the window) and the
+    /// word it borrows high bits from stay in bounds.
+    stride: usize,
+    /// `K = bits(max − min)`; 0 for a constant (or empty) buffer.
+    depth: usize,
+    /// The buffer minimum: `s = min + Σ_b 2^b · bit_b(u)`.
+    min: i32,
 }
 
 impl PrefixSums {
@@ -220,15 +278,40 @@ impl PrefixSums {
         PrefixSums::default()
     }
 
-    /// Recomputes the sums over `samples`, reusing the backing storage.
+    /// Recomputes the sums and planes over `samples`, reusing the backing
+    /// storage.
     pub fn compute(&mut self, samples: &[i32]) {
         self.sums.clear();
         self.sums.reserve(samples.len() + 1);
         self.sums.push(0);
         let mut acc: i64 = 0;
+        let (mut min, mut max) = (i32::MAX, i32::MIN);
         for &s in samples {
             acc += i64::from(s);
             self.sums.push(acc);
+            min = min.min(s);
+            max = max.max(s);
+        }
+        if samples.is_empty() {
+            (min, max) = (0, 0);
+        }
+        self.min = min;
+        self.depth = (u32::BITS - max.abs_diff(min).leading_zeros()) as usize;
+        self.stride = samples.len().div_ceil(64) + SPAN;
+        self.planes.clear();
+        self.planes.resize(self.depth * self.stride, 0);
+        for (q, chunk) in samples.chunks(64).enumerate() {
+            let mut u = [0u32; 64];
+            for (u, &s) in u.iter_mut().zip(chunk) {
+                *u = s.abs_diff(min);
+            }
+            for b in 0..self.depth {
+                let mut word = 0u64;
+                for (k, &u) in u.iter().enumerate() {
+                    word |= u64::from((u >> b) & 1) << k;
+                }
+                self.planes[b * self.stride + q] = word;
+            }
         }
     }
 
@@ -242,10 +325,16 @@ impl PrefixSums {
     pub fn range_total(&self, start: usize, end: usize) -> i64 {
         self.sums[end] - self.sums[start]
     }
+
+    /// Bit plane `b` (`b < depth`).
+    #[inline]
+    fn plane(&self, b: usize) -> &[u64] {
+        &self.planes[b * self.stride..(b + 1) * self.stride]
+    }
 }
 
-/// Where a scanner's window totals come from: its own pass, or a shared
-/// buffer-wide [`PrefixSums`] at an offset.
+/// Where a scanner's window totals and planes come from: its own pass, or
+/// a shared buffer-wide [`PrefixSums`] at an offset.
 #[derive(Debug)]
 enum Prefix<'s> {
     Owned(PrefixSums),
@@ -258,10 +347,10 @@ enum Prefix<'s> {
 /// needs `O(N)` memory instead of materialising the full `n_bits·N` sample
 /// vector first.
 ///
-/// Correlations are bit-identical to rendering the whole frame and running
-/// a [`BankScanner`] over it: the window total `T` is folded into the same
-/// pass and combined with the positive-chip sums via the `2·P − T`
-/// identity, all in exact `i64` arithmetic.
+/// Each window goes through the exact word kernel of
+/// [`correlate_window`] (`ChipSeq::dot_levels`), so correlations are
+/// bit-identical to rendering the whole frame and running a
+/// [`BankScanner`] over it.
 ///
 /// # Examples
 ///
@@ -290,7 +379,6 @@ pub struct FusedDespreader<'b, 'a> {
     bank: &'b MultiCorrelator<'a>,
     /// The one window ever materialised, reused across bit periods.
     window: Vec<i32>,
-    pos_sums: Vec<i64>,
 }
 
 impl<'b, 'a> FusedDespreader<'b, 'a> {
@@ -299,7 +387,6 @@ impl<'b, 'a> FusedDespreader<'b, 'a> {
         FusedDespreader {
             bank,
             window: Vec::with_capacity(bank.code_len()),
-            pos_sums: vec![0; bank.num_codes()],
         }
     }
 
@@ -320,23 +407,20 @@ impl<'b, 'a> FusedDespreader<'b, 'a> {
         assert!(n > 0, "cannot correlate against an empty bank");
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
         channel.render_into(&mut self.window, start, n);
-        let total: i64 = self.window.iter().map(|&s| i64::from(s)).sum();
-        self.bank.pos_sums_into(&self.window, &mut self.pos_sums);
-        for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
-            *o = (2 * p - total) as f64 / n as f64;
+        for (o, code) in out.iter_mut().zip(&self.bank.codes) {
+            *o = correlate_window(&self.window, code);
         }
     }
 }
 
-/// A buffer prepared for sliding-window correlation against a bank: holds
-/// the shared prefix sums and per-code scratch.
+/// A buffer prepared for sliding-window correlation against a bank: the
+/// bank plus the buffer's prefix sums and bit planes.
 #[derive(Debug)]
 pub struct BankScanner<'s, 'a> {
     bank: &'s MultiCorrelator<'a>,
     samples: &'s [i32],
-    /// Window totals in O(1) per offset — owned or shared prefix sums.
+    /// Window totals and planes — owned, or shared at an offset.
     prefix: Prefix<'s>,
-    pos_sums: Vec<i64>,
 }
 
 impl BankScanner<'_, '_> {
@@ -359,15 +443,20 @@ impl BankScanner<'_, '_> {
         }
     }
 
+    /// The per-buffer pass and this scanner's offset into its buffer.
+    #[inline]
+    fn prefix(&self) -> (&PrefixSums, usize) {
+        match &self.prefix {
+            Prefix::Owned(p) => (p, 0),
+            Prefix::Shared { sums, base } => (sums, *base),
+        }
+    }
+
     /// The window total `Σ sᵢ` at `offset` — shared by every code.
     #[inline]
     pub fn window_total(&self, offset: usize) -> i64 {
-        match &self.prefix {
-            Prefix::Owned(p) => p.range_total(offset, offset + self.bank.n),
-            Prefix::Shared { sums, base } => {
-                sums.range_total(base + offset, base + offset + self.bank.n)
-            }
-        }
+        let (sums, base) = self.prefix();
+        sums.range_total(base + offset, base + offset + self.bank.n)
     }
 
     /// Normalised correlations of the window at `offset` against **all**
@@ -376,17 +465,9 @@ impl BankScanner<'_, '_> {
     /// # Panics
     ///
     /// Panics if the window does not fit or `out.len() != m`.
-    pub fn correlate_all(&mut self, offset: usize, out: &mut [f64]) {
-        let n = self.bank.n;
-        assert!(n > 0, "cannot correlate against an empty bank");
+    pub fn correlate_all(&self, offset: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
-        let total = self.window_total(offset);
-        self.pos_sums.resize(self.bank.codes.len(), 0);
-        let window = &self.samples[offset..offset + n];
-        self.bank.pos_sums_into(window, &mut self.pos_sums);
-        for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
-            *o = (2 * p - total) as f64 / n as f64;
-        }
+        self.correlate_block(offset, 1, out);
     }
 
     /// Correlations for `count` consecutive offsets starting at `start`,
@@ -394,45 +475,44 @@ impl BankScanner<'_, '_> {
     /// offset) — identical values to `count` calls of
     /// [`BankScanner::correlate_all`].
     ///
-    /// This is the throughput shape of the kernel: the loops are tiled
-    /// code-outer/offset-inner, so each code's mask row is loaded once per
-    /// block while the `N + count` samples the overlapping windows span
-    /// stay hot in L1, instead of re-streaming `m` mask rows at every
-    /// offset.
-    ///
     /// # Panics
     ///
     /// Panics if the bank is empty, the last window does not fit, or
     /// `out.len() < count * m`.
-    pub fn correlate_block(&mut self, start: usize, count: usize, out: &mut [f64]) {
-        let n = self.bank.n;
-        let m = self.bank.codes.len();
+    pub fn correlate_block(&self, start: usize, count: usize, out: &mut [f64]) {
+        let bank = self.bank;
+        let (n, m) = (bank.n, bank.codes.len());
         assert!(n > 0, "cannot correlate against an empty bank");
         assert!(
             start + count.saturating_sub(1) + n <= self.samples.len(),
             "offset block exceeds the buffer"
         );
         assert!(out.len() >= count * m, "one output slot per (offset, code)");
-        let level = simd::active();
-        for c in 0..m {
-            let row = &self.bank.pos_masks[c * n..(c + 1) * n];
-            for i in 0..count {
-                let o = start + i;
-                let window = &self.samples[o..o + n];
-                let p = simd::masked_sum_at(level, window, row);
-                out[i * m + c] = (2 * p - self.window_total(o)) as f64 / n as f64;
+        let (sums, base) = self.prefix();
+        let min = i64::from(sums.min);
+        for (i, row) in out[..count * m].chunks_exact_mut(m).enumerate() {
+            let pos = base + start + i;
+            let total = sums.range_total(pos, pos + n);
+            for (t, tile) in row.chunks_mut(TILE).enumerate() {
+                let sums_u = bank.tile_sums(sums, pos, t);
+                for (l, o) in tile.iter_mut().enumerate() {
+                    let p = sums_u[l] as i64 + min * bank.npos[t * TILE + l];
+                    *o = (2 * p - total) as f64 / n as f64;
+                }
             }
         }
     }
 
     /// Normalised correlation of the window at `offset` against the single
-    /// code at `code_index`, reusing the shared prefix sums.
+    /// code at `code_index`.
     pub fn correlate_one(&self, offset: usize, code_index: usize) -> f64 {
-        let n = self.bank.n;
-        let window = &self.samples[offset..offset + n];
-        let total = self.window_total(offset);
-        let row = &self.bank.pos_masks[code_index * n..(code_index + 1) * n];
-        let p = simd::masked_sum(window, row);
+        let bank = self.bank;
+        let n = bank.n;
+        let (sums, base) = self.prefix();
+        let pos = base + offset;
+        let total = sums.range_total(pos, pos + n);
+        let sums_u = bank.tile_sums(sums, pos, code_index / TILE);
+        let p = sums_u[code_index % TILE] as i64 + i64::from(sums.min) * bank.npos[code_index];
         (2 * p - total) as f64 / n as f64
     }
 }
@@ -455,7 +535,7 @@ mod tests {
             let refs: Vec<&SpreadCode> = codes.iter().collect();
             let bank = MultiCorrelator::new(&refs);
             let samples: Vec<i32> = (0..3 * n).map(|_| r.gen_range(-5..=5)).collect();
-            let mut scanner = bank.scanner(&samples);
+            let scanner = bank.scanner(&samples);
             let mut out = vec![0.0; codes.len()];
             for offset in [0usize, 1, 63, 64, 65, n - 1, 2 * n] {
                 scanner.correlate_all(offset, &mut out);
@@ -480,7 +560,7 @@ mod tests {
         let refs: Vec<&SpreadCode> = codes.iter().collect();
         let bank = MultiCorrelator::new(&refs);
         let samples = spread(&[true, false], &codes[3]).to_levels();
-        let mut scanner = bank.scanner(&samples);
+        let scanner = bank.scanner(&samples);
         let mut out = [0.0; 5];
         scanner.correlate_all(0, &mut out);
         assert_eq!(out[3], 1.0);
@@ -512,7 +592,7 @@ mod tests {
         let refs: Vec<&SpreadCode> = codes.iter().collect();
         let bank = MultiCorrelator::new(&refs);
         let samples: Vec<i32> = (0..400).map(|_| r.gen_range(-50..=50)).collect();
-        let mut scanner = bank.scanner(&samples);
+        let scanner = bank.scanner(&samples);
         let count = 400 - 96 + 1;
         let mut block = vec![0.0; count * 3];
         scanner.correlate_block(0, count, &mut block);
@@ -544,7 +624,7 @@ mod tests {
 
         // Materialised path: render the whole frame, scan it.
         let samples = ch.render(0, n_bits * 128);
-        let mut scanner = bank.scanner(&samples);
+        let scanner = bank.scanner(&samples);
         let mut fused = FusedDespreader::new(&bank);
         let mut want = [0.0; 4];
         let mut got = [0.0; 4];
@@ -570,8 +650,8 @@ mod tests {
         assert_eq!(sums.chips(), 1000);
         for base in [0usize, 137, 700] {
             let slice = &buffer[base..base + 300];
-            let mut owned = bank.scanner(slice);
-            let mut shared = bank.scanner_in(slice, &sums, base);
+            let owned = bank.scanner(slice);
+            let shared = bank.scanner_in(slice, &sums, base);
             let mut want = [0.0; 4];
             let mut got = [0.0; 4];
             for offset in 0..=300 - 64 {
@@ -628,8 +708,8 @@ mod tests {
                 continue;
             }
             assert_eq!(reused.code_len(), 128);
-            let mut sf = fresh.scanner(&samples);
-            let mut sr = reused.scanner(&samples);
+            let sf = fresh.scanner(&samples);
+            let sr = reused.scanner(&samples);
             let mut want = vec![0.0; indices.len()];
             let mut got = vec![0.0; indices.len()];
             for offset in [0usize, 1, 200, 272] {
@@ -663,7 +743,7 @@ mod tests {
         let samples: Vec<i32> = (0..512)
             .map(|i| if i % 2 == 0 { i32::MAX } else { i32::MIN })
             .collect();
-        let mut scanner = bank.scanner(&samples);
+        let scanner = bank.scanner(&samples);
         let mut out = [0.0];
         scanner.correlate_all(0, &mut out);
         let expected = reference::correlate_window(&samples, &code);
@@ -717,7 +797,7 @@ mod proptests {
             let samples: Vec<i32> =
                 (0..n + extra).map(|_| amplitude(&mut sr)).collect();
 
-            let mut scanner = bank.scanner(&samples);
+            let scanner = bank.scanner(&samples);
             let mut out = vec![0.0; m];
             for offset in 0..=extra {
                 scanner.correlate_all(offset, &mut out);
@@ -759,18 +839,117 @@ mod proptests {
                 .map(|(i, &s)| i64::from(s) * i64::from(code.chips().chip(i)))
                 .sum();
             prop_assert_eq!(code.chips().dot_levels(&window), naive);
+        }
 
-            let pos: i64 = window
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| code.chips().bit(i))
-                .map(|(_, &s)| i64::from(s))
-                .sum();
-            prop_assert_eq!(code.chips().masked_sum(&window), pos);
+        /// The plane kernel on the sample shapes it must handle: every
+        /// `N` around a word boundary, buffers of depth 0 (constant, all
+        /// zero) through 32 (`i32::MIN` next to `i32::MAX`), and the
+        /// engine's same-code jam (bit-aligned garbage at amplitude 2 or
+        /// 3 over a clean frame). `correlate_all`, `correlate_block` and
+        /// `correlate_one` must each equal the chip-at-a-time oracle.
+        #[test]
+        fn plane_kernel_matches_reference_on_every_shape(
+            ni in 0usize..8,
+            m in 1usize..7,
+            shape in 0usize..5,
+            seed in 0u64..10_000,
+        ) {
+            let n = [1usize, 63, 64, 65, 96, 100, 256, 512][ni];
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut r)).collect();
+            let refs: Vec<&SpreadCode> = codes.iter().collect();
+            let bank = MultiCorrelator::new(&refs);
+            let samples = shaped_buffer(shape, &codes, &mut r);
+            let scanner = bank.scanner(&samples);
+            let count = samples.len() - n + 1;
+            let mut block = vec![0.0; count * m];
+            scanner.correlate_block(0, count, &mut block);
+            let mut all = vec![0.0; m];
+            for o in 0..count {
+                scanner.correlate_all(o, &mut all);
+                for (ci, code) in codes.iter().enumerate() {
+                    let want = reference::correlate_window(&samples[o..o + n], code).to_bits();
+                    prop_assert_eq!(block[o * m + ci].to_bits(), want, "block o={} c={}", o, ci);
+                    prop_assert_eq!(all[ci].to_bits(), want, "all o={} c={}", o, ci);
+                    prop_assert_eq!(
+                        scanner.correlate_one(o, ci).to_bits(), want, "one o={} c={}", o, ci
+                    );
+                }
+            }
+        }
 
-            // The reconstruction identity the whole module rests on.
-            let total: i64 = window.iter().map(|&s| i64::from(s)).sum();
-            prop_assert_eq!(2 * code.chips().masked_sum(&window) - total, naive);
+        /// `scanner_in` reads planes at `base + offset` of a shared
+        /// buffer whose minimum (and so depth) may differ from the slice's
+        /// own: every word alignment of `base` must still give the
+        /// oracle's values.
+        #[test]
+        fn shared_planes_match_reference_at_every_alignment(
+            ni in 0usize..4,
+            base_word in 0usize..3,
+            bi in 0usize..3,
+            shape in 0usize..5,
+            seed in 0u64..10_000,
+        ) {
+            let n = [63usize, 64, 65, 256][ni];
+            let base = 64 * base_word + [0usize, 1, 63][bi];
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let codes: Vec<SpreadCode> = (0..3).map(|_| SpreadCode::random(n, &mut r)).collect();
+            let refs: Vec<&SpreadCode> = codes.iter().collect();
+            let bank = MultiCorrelator::new(&refs);
+            let mut buffer: Vec<i32> = (0..base).map(|_| r.gen_range(-9..=9)).collect();
+            let slice = shaped_buffer(shape, &codes, &mut r);
+            buffer.extend_from_slice(&slice);
+            buffer.extend((0..r.gen_range(0..70)).map(|_| r.gen_range(-9..=9)));
+            let mut sums = PrefixSums::new();
+            sums.compute(&buffer);
+            let scanner = bank.scanner_in(&buffer[base..base + slice.len()], &sums, base);
+            let count = slice.len() - n + 1;
+            let mut block = vec![0.0; count * 3];
+            scanner.correlate_block(0, count, &mut block);
+            for o in 0..count {
+                for (ci, code) in codes.iter().enumerate() {
+                    let want = reference::correlate_window(&slice[o..o + n], code).to_bits();
+                    prop_assert_eq!(block[o * 3 + ci].to_bits(), want, "base={} o={}", base, o);
+                    prop_assert_eq!(scanner.correlate_one(o, ci).to_bits(), want);
+                }
+            }
+        }
+    }
+
+    /// A buffer of `2N + extra` chips in one of five shapes: 0 all zero,
+    /// 1 constant, 2 `i32::MIN`/`i32::MAX` extremes, 3 a clean frame,
+    /// 4 a frame under bit-aligned same-code jam at amplitude 2 or 3.
+    fn shaped_buffer(shape: usize, codes: &[SpreadCode], r: &mut rand::rngs::StdRng) -> Vec<i32> {
+        use crate::spread::spread;
+        let n = codes[0].len();
+        let len = 2 * n + r.gen_range(0usize..40);
+        match shape {
+            0 => vec![0; len],
+            1 => vec![r.gen_range(-7..=7); len],
+            2 => (0..len)
+                .map(|_| if r.gen() { i32::MIN } else { i32::MAX })
+                .collect(),
+            _ => {
+                let lead = r.gen_range(0..n);
+                let msg: Vec<bool> = (0..2).map(|_| r.gen()).collect();
+                let code = &codes[r.gen_range(0..codes.len())];
+                let mut samples = vec![0i32; len];
+                for (dst, src) in samples[lead..]
+                    .iter_mut()
+                    .zip(spread(&msg, code).to_levels())
+                {
+                    *dst += src;
+                }
+                if shape == 4 {
+                    let amp = r.gen_range(2..=3);
+                    let garbage: Vec<bool> = (0..2).map(|_| r.gen()).collect();
+                    let jam = spread(&garbage, code).to_levels();
+                    for (dst, src) in samples[lead..].iter_mut().zip(jam) {
+                        *dst += amp * src;
+                    }
+                }
+                samples
+            }
         }
     }
 }

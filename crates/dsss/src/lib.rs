@@ -16,10 +16,11 @@
 //!   transmissions, jammers as louder transmitters, deterministic noise —
 //!   rendered by a blocked word-parallel kernel (64 chips per iteration)
 //!   with the chip-at-a-time oracle retained under `channel::reference`;
-//! * [`correlate`] — the bit-parallel batched kernel: one window against a
-//!   whole code bank in a single pass, with prefix-sum window totals, plus
-//!   the fused render→despread path (`FusedDespreader`) that feeds channel
-//!   blocks into the bank without materializing the full sample vector;
+//! * [`correlate`] — the bit-plane batched kernel: one window against a
+//!   whole code bank by AND + popcount over the buffer's bit planes, with
+//!   prefix-sum window totals, plus the fused render→despread path
+//!   (`FusedDespreader`) that correlates channel windows one bit period at
+//!   a time without materializing the full sample vector;
 //! * [`sync`] — the sliding-window scan that locates a message start among
 //!   buffered chips (and counts the correlations it cost);
 //! * [`timing`] — the buffer/process schedule constants (`t_h`, `t_b`, λ,

@@ -1,17 +1,17 @@
-//! Runtime-dispatched inner loops for the correlate and render kernels.
+//! Runtime-dispatched inner loop of the chip-medium render kernel.
 //!
-//! Each hot loop here has exactly one generic body, compiled up to three
+//! The hot loop here has exactly one generic body, compiled up to three
 //! times behind `#[target_feature]` (baseline, SSE4.1, AVX2). Dispatch
 //! happens per call on the process-wide [`jrsnd_sim::simd::active`] level,
 //! so a binary built for the portable baseline still runs the wide kernels
 //! on a capable CPU — the committed `-C target-cpu=native` flag is a local
 //! optimisation, no longer a correctness-of-throughput requirement.
 //!
-//! All three compilations of a body are bit-identical: the loops are pure
-//! integer arithmetic (`&`, widening adds, XOR sign-select), with no
-//! floating-point reassociation for the vectorizer to exploit. The
-//! `*_at` entry points expose the per-level variants so the
-//! kernel-equivalence suite can assert that on the running host.
+//! All three compilations of the body are bit-identical: the loop is pure
+//! integer arithmetic (XOR sign-select and adds), with no floating-point
+//! reassociation for the vectorizer to exploit. The `*_at` entry point
+//! exposes the per-level variants so the kernel-equivalence suite can
+//! assert that on the running host.
 //!
 //! Safety: `#[target_feature]` functions are unsafe to call from
 //! un-attributed code; every `unsafe` block below is guarded by the
@@ -21,56 +21,6 @@
 
 use crate::chip::ChipSeq;
 pub use jrsnd_sim::simd::{active, detected, SimdLevel};
-
-/// The positive-chip masked sum `Σ (window[i] & row[i])` with widening
-/// `i64` accumulation — the inner loop of every bank correlation
-/// ([`crate::correlate::MultiCorrelator`]).
-#[inline(always)]
-fn masked_sum_body(window: &[i32], row: &[i32]) -> i64 {
-    window
-        .iter()
-        .zip(row)
-        .map(|(&s, &e)| i64::from(s & e))
-        .sum()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn masked_sum_avx2(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_body(window, row)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-fn masked_sum_sse41(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_body(window, row)
-}
-
-/// [`masked_sum_body`] compiled for an explicit `level`, clamped to the
-/// host's capability. Exposed for the kernel-equivalence tests; hot paths
-/// hoist [`active`] once and call this in their inner loops.
-#[inline]
-pub fn masked_sum_at(level: SimdLevel, window: &[i32], row: &[i32]) -> i64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = level.min(detected());
-        match level {
-            // SAFETY: `level` is clamped to `detected()`, so the required
-            // feature is present on this CPU.
-            SimdLevel::Avx2 => return unsafe { masked_sum_avx2(window, row) },
-            SimdLevel::Sse41 => return unsafe { masked_sum_sse41(window, row) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    let _ = level;
-    masked_sum_body(window, row)
-}
-
-/// The dispatched masked sum at the process-wide active level.
-#[inline]
-pub(crate) fn masked_sum(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_at(active(), window, row)
-}
 
 /// Superposes `out.len()` chips of `chips` (starting at chip `rel`) onto
 /// `out` at amplitude `amp` — the per-transmission inner loop of
@@ -141,19 +91,6 @@ mod tests {
     use super::*;
     use jrsnd_sim::simd::levels_up_to;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn every_runnable_level_agrees_on_masked_sum() {
-        let mut r = rand::rngs::StdRng::seed_from_u64(11);
-        for n in [1usize, 63, 64, 65, 256, 511] {
-            let window: Vec<i32> = (0..n).map(|_| r.gen_range(i32::MIN..=i32::MAX)).collect();
-            let row: Vec<i32> = (0..n).map(|_| -i32::from(r.gen::<bool>())).collect();
-            let want = masked_sum_body(&window, &row);
-            for &level in levels_up_to(detected()) {
-                assert_eq!(masked_sum_at(level, &window, &row), want, "{level:?} n={n}");
-            }
-        }
-    }
 
     #[test]
     fn every_runnable_level_agrees_on_add_levels() {

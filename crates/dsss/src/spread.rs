@@ -145,14 +145,8 @@ pub fn despread_levels(samples: &[i32], code: &SpreadCode, tau: f64) -> (Vec<boo
     );
     let mut bits = Vec::with_capacity(samples.len() / n);
     let mut erased = Vec::with_capacity(samples.len() / n);
-    // One-code bank: the scanner's prefix sums give each window's total in
-    // O(1), so every bit decision costs a single masked sum.
-    let bank = crate::correlate::MultiCorrelator::new(&[code]);
-    let mut scanner = bank.scanner(samples);
-    let mut corr = [0.0f64];
-    for bit_idx in 0..samples.len() / n {
-        scanner.correlate_all(bit_idx * n, &mut corr);
-        match decide(corr[0], tau) {
+    for window in samples.chunks_exact(n) {
+        match decide(correlate_window(window, code), tau) {
             BitDecision::One => {
                 bits.push(true);
                 erased.push(false);

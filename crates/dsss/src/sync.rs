@@ -123,9 +123,9 @@ pub fn scan_from_with(
     tau: f64,
     scratch: &mut ScanScratch,
 ) -> Option<SyncHit> {
-    /// Offsets per [`BankScanner::correlate_block`] call: enough reuse of
-    /// each code's mask row, small enough that the block result and the
-    /// spanned samples stay cache-resident.
+    /// Offsets per [`BankScanner::correlate_block`] call: enough to
+    /// amortise the per-call setup, small enough that the block result
+    /// stays cache-resident.
     const BLOCK: usize = 64;
     let mut work: u64 = 0;
     let m = scanner.bank().num_codes();
@@ -138,16 +138,17 @@ pub fn scan_from_with(
     scratch.block.resize(BLOCK * m, 0.0);
     scratch.rblock.resize(BLOCK * m, 0.0);
     let (block, rblock) = (&mut scratch.block, &mut scratch.rblock);
-    let mut block_start = usize::MAX; // no block computed yet
+    // The sweep block holds offsets `block_start..block_end`; empty until
+    // the first `correlate_block`.
+    let (mut block_start, mut block_end) = (0, 0);
     let mut offset = start;
     while offset <= last {
         // The sweep consumes correlations block by block; most offsets
-        // never trigger, so the eager batch costs nothing extra and lets
-        // each mask row serve BLOCK windows per load.
-        if block_start == usize::MAX || offset < block_start || offset >= block_start + BLOCK {
+        // never trigger, so the eager batch costs nothing extra.
+        if offset < block_start || offset >= block_end {
             block_start = offset;
-            let count = BLOCK.min(last - offset + 1);
-            scanner.correlate_block(offset, count, block);
+            block_end = offset + BLOCK.min(last - offset + 1);
+            scanner.correlate_block(offset, block_end - block_start, block);
         }
         let corr = &block[(offset - block_start) * m..][..m];
         let triggered = corr.iter().position(|c| c.abs() >= tau);
@@ -163,15 +164,24 @@ pub fn scan_from_with(
         // partial-autocorrelation sidelobes that can clear tau slightly
         // ahead of the true alignment. The true peak (|corr| ~ 1) lies
         // within one code length of any sidelobe, so search that window
-        // across all codes and keep the strongest response.
+        // across all codes and keep the strongest response. Offsets the
+        // sweep block already holds are read from it; only the rest are
+        // computed. The work counter still charges all m codes per offset,
+        // as the sequential scan computes them.
         let refine_end = (offset + n - 1).min(last);
         let mut o2 = offset + 1;
         while o2 <= refine_end {
-            let count = BLOCK.min(refine_end - o2 + 1);
-            scanner.correlate_block(o2, count, rblock);
-            for i in 0..count {
+            let (rows, first, held) = if o2 < block_end {
+                (&block[..], o2 - block_start, block_end - o2)
+            } else {
+                let count = BLOCK.min(refine_end - o2 + 1);
+                scanner.correlate_block(o2, count, rblock);
+                (&rblock[..], 0, count)
+            };
+            let count = held.min(refine_end - o2 + 1);
+            for (i, row) in rows[first * m..][..count * m].chunks_exact(m).enumerate() {
                 work += m as u64;
-                for (code_index, &c) in rblock[i * m..(i + 1) * m].iter().enumerate() {
+                for (code_index, &c) in row.iter().enumerate() {
                     if c.abs() > best.2.abs() {
                         best = (o2 + i, code_index, c);
                     }

@@ -151,3 +151,111 @@ fn channel_render_and_fused_despread_match_reference_end_to_end() {
         }
     }
 }
+
+/// The engine's HELLO chunk shape: clean frames on some codes and, on
+/// others, the same frame under bit-aligned same-code garbage at amplitude
+/// 2 or 3 — the medium the bit-plane kernel sees under a reactive jammer.
+fn jammed_chunk(seed: u64, n: usize, codes: &[SpreadCode], frames: usize) -> Vec<i32> {
+    use jrsnd_dsss::channel::ChipChannel;
+    let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut chan = ChipChannel::new(seed);
+    let mut at = r.gen_range(0..n as u64);
+    for _ in 0..frames {
+        let code = &codes[r.gen_range(0..codes.len())];
+        let msg: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+        chan.transmit(at, spread(&msg, code), 1);
+        if r.gen_bool(0.5) {
+            let garbage: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+            chan.transmit(at, spread(&garbage, code), r.gen_range(2..=3));
+        }
+        at += (6 * n + r.gen_range(0..n)) as u64;
+    }
+    chan.render(0, at as usize + n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// The bit-plane kernel behind `correlate_all`, `correlate_block` and
+    /// `correlate_one`, read through `scanner_in` at every word alignment
+    /// of the slice base, equals the chip-at-a-time oracle on jammed
+    /// chunks.
+    #[test]
+    fn plane_kernel_on_jammed_chunks_is_bit_identical(
+        seed in 0u64..100_000,
+        m in 1usize..6,
+        bi in 0usize..3,
+    ) {
+        use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
+        let n = 256usize;
+        let mut cr = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBA5E);
+        let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
+        let refs: Vec<&SpreadCode> = codes.iter().collect();
+        let bank = MultiCorrelator::new(&refs);
+        let buffer = jammed_chunk(seed, n, &codes, 3);
+        let mut sums = PrefixSums::new();
+        sums.compute(&buffer);
+        let base = 64 * cr.gen_range(0usize..4) + [0usize, 1, 63][bi];
+        let slice = &buffer[base..];
+        let scanner = bank.scanner_in(slice, &sums, base);
+        let count = slice.len() - n + 1;
+        let mut block = vec![0.0; count * m];
+        scanner.correlate_block(0, count, &mut block);
+        let mut all = vec![0.0; m];
+        for o in (0..count).step_by(7) {
+            scanner.correlate_all(o, &mut all);
+            for (ci, code) in codes.iter().enumerate() {
+                let want = spread_ref::correlate_window(&slice[o..o + n], code).to_bits();
+                prop_assert_eq!(block[o * m + ci].to_bits(), want, "block base={} o={}", base, o);
+                prop_assert_eq!(all[ci].to_bits(), want, "all base={} o={}", base, o);
+                prop_assert_eq!(scanner.correlate_one(o, ci).to_bits(), want);
+            }
+        }
+    }
+}
+
+/// A receiver resumes `scan_from_with` from arbitrary start offsets with
+/// one pooled scratch (stale sweep blocks included). Each resumed scan must
+/// equal the reference scan of the buffer's suffix from `start` — same
+/// hit, same correlation bits, and the same logical work count, although
+/// the refinement now reads offsets the sweep block already holds.
+#[test]
+fn resumed_scans_equal_reference_on_every_suffix() {
+    use jrsnd_dsss::correlate::MultiCorrelator;
+    use jrsnd_dsss::sync::{scan_from_with, ScanScratch};
+    let n = 256usize;
+    for seed in [5u64, 77, 2011] {
+        let mut cr = rand::rngs::StdRng::seed_from_u64(seed);
+        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(n, &mut cr)).collect();
+        let refs: Vec<&SpreadCode> = codes.iter().collect();
+        let samples = jammed_chunk(seed, n, &codes, 3);
+        let bank = MultiCorrelator::new(&refs);
+        let mut scanner = bank.scanner(&samples);
+        let mut scratch = ScanScratch::new();
+        let mut hits = 0;
+        for start in (0..samples.len() - n).step_by(97) {
+            let fast = scan_from_with(&mut scanner, start, 0.30, &mut scratch);
+            let slow = sync_ref::scan(&samples[start..], &refs, 0.30);
+            let slow = slow.map(|mut h| {
+                h.offset += start;
+                hits += 1;
+                h
+            });
+            assert_eq!(
+                fast.map(|h| (
+                    h.code_index,
+                    h.offset,
+                    h.correlation.to_bits(),
+                    h.correlations_computed
+                )),
+                slow.map(|h| (
+                    h.code_index,
+                    h.offset,
+                    h.correlation.to_bits(),
+                    h.correlations_computed
+                )),
+                "seed {seed} start {start}"
+            );
+        }
+        assert!(hits > 10, "seed {seed}: only {hits} resumed scans hit");
+    }
+}
