@@ -25,7 +25,6 @@ fn bench_redundancy_variants(c: &mut Criterion) {
             DndpConfig {
                 redundancy: true,
                 tail_only_attack: true,
-                ..DndpConfig::default()
             },
         ),
         (
@@ -33,7 +32,6 @@ fn bench_redundancy_variants(c: &mut Criterion) {
             DndpConfig {
                 redundancy: false,
                 tail_only_attack: true,
-                ..DndpConfig::default()
             },
         ),
     ] {

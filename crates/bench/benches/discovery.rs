@@ -17,6 +17,7 @@ fn config(n: usize, field: f64, q: usize) -> ExperimentConfig {
         params,
         jammer: JammerKind::Reactive,
         dndp: DndpConfig::default(),
+        resilience: None,
     }
 }
 

@@ -85,6 +85,7 @@ fn base_config(scale: Scale) -> ExperimentConfig {
         params: Params::table1(),
         jammer: JammerKind::Reactive,
         dndp: DndpConfig::default(),
+        resilience: None,
     };
     scale.apply(&mut config.params);
     config
@@ -833,7 +834,6 @@ pub fn sessions_experiment(seed: u64, scale: Scale) -> FigureOutput {
         shards: 64,
         retry,
         threads: None,
-        ..EngineConfig::default()
     };
     let engine = BatchEngine::new(&params, &authority, &pool, config);
 
@@ -954,6 +954,7 @@ pub fn theory(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
                 params: params.clone(),
                 jammer: JammerKind::Reactive,
                 dndp: DndpConfig::default(),
+                resilience: None,
             },
             reps,
             seed,
@@ -963,6 +964,7 @@ pub fn theory(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
                 params: params.clone(),
                 jammer: JammerKind::Random,
                 dndp: DndpConfig::default(),
+                resilience: None,
             },
             reps,
             seed,
@@ -1042,7 +1044,6 @@ pub fn ablation_redundancy(reps: usize, seed: u64) -> FigureOutput {
         redundant.dndp = DndpConfig {
             redundancy: true,
             tail_only_attack: true,
-            ..DndpConfig::default()
         };
         let mut strawman = redundant.clone();
         strawman.dndp.redundancy = false;
@@ -1534,8 +1535,8 @@ pub fn chiplevel(seed: u64) -> FigureOutput {
 /// Chaos experiment: discovery under injected chip-layer faults, swept
 /// over fault intensity × retry budget.
 ///
-/// Each point runs the seed-sharded Monte-Carlo driver with a
-/// [`jrsnd::network::ResilienceConfig`]: a [`FaultPlan`] of the given
+/// Each point runs the seed-sharded Monte-Carlo driver under an
+/// [`ExperimentConfig::resilience`]: a [`FaultPlan`] of the given
 /// intensity (transmission drops, chip bursts, frame truncation, clock
 /// skew) and a budgeted exponential-backoff retry policy. Fault
 /// decisions are pure functions of `(seed, pair, attempt)`, so the whole
@@ -1544,7 +1545,6 @@ pub fn chiplevel(seed: u64) -> FigureOutput {
 ///
 /// [`FaultPlan`]: jrsnd_sim::faults::FaultPlan
 pub fn chaos(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
-    use jrsnd::montecarlo::run_many_resilient;
     use jrsnd::network::ResilienceConfig;
 
     let base = base_config(scale);
@@ -1565,8 +1565,11 @@ pub fn chaos(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
         .collect();
     for &intensity in &intensities {
         for (bi, &budget) in budgets.iter().enumerate() {
-            let res = ResilienceConfig::chaos(intensity, budget);
-            let agg = run_many_resilient(&base, &res, reps, seed);
+            let config = ExperimentConfig {
+                resilience: Some(ResilienceConfig::chaos(intensity, budget)),
+                ..base.clone()
+            };
+            let agg = run_many(&config, reps, seed);
             t.row(vec![
                 format!("{intensity:.1}"),
                 budget.to_string(),

@@ -40,6 +40,7 @@ fn quick_run_populates_at_least_four_layers() {
         use jrsnd::params::Params;
         use jrsnd::wire::{self, WireFormat};
         use jrsnd_crypto::ibc::{Authority, NodeId};
+        use jrsnd_crypto::session::SessionCodeCache;
         use jrsnd_dsss::code::CodeId;
         use jrsnd_sim::rng::SimRng;
         use rand::SeedableRng;
@@ -66,8 +67,9 @@ fn quick_run_populates_at_least_four_layers() {
         let code = CodeId(7);
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (auth_b, _) = b.on_auth_a(&auth_a).unwrap();
-        a.on_auth_b(&auth_b).unwrap();
+        let mut cache = SessionCodeCache::new(8);
+        let (auth_b, _) = b.on_auth_a_cached(&auth_a, &mut cache).unwrap();
+        a.on_auth_b_cached(&auth_b, &mut cache).unwrap();
 
         let mut codec = FrameCodec::new(params.mu).unwrap();
         let mut buf = Vec::new();

@@ -128,17 +128,15 @@ pub struct LinkSpec<'a> {
     pub seed: u64,
 }
 
-/// Retry, fault, and wire-format settings of a [`run_link`] session.
-/// The default is one attempt on a clean channel in the legacy format.
+/// Retry and fault settings of a [`run_link`] session. The default is one
+/// attempt on a clean channel. (The wire format is a parameter,
+/// [`Params::wire_format`].)
 #[derive(Debug, Clone, Copy)]
 pub struct LinkOptions {
     /// Retry/backoff budget.
     pub retry: RetryPolicy,
     /// Chip-layer fault injection on the session channel.
     pub faults: Option<FaultInjector>,
-    /// Wire codec the frames run through. `Packed` sends fewer bits per
-    /// frame (fewer chips on the air) with identical crypto and RNG draws.
-    pub format: WireFormat,
 }
 
 impl Default for LinkOptions {
@@ -146,7 +144,6 @@ impl Default for LinkOptions {
         LinkOptions {
             retry: RetryPolicy::none(),
             faults: None,
-            format: WireFormat::Legacy,
         }
     }
 }
@@ -333,16 +330,12 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// A fresh attempt keyed by `seed`: the endpoints draw their nonces
-    /// from the attempt RNG here.
-    pub(crate) fn new(
-        params: &Params,
-        authority: &Authority,
-        format: WireFormat,
-        seed: u64,
-    ) -> Self {
+    /// A fresh attempt keyed by `seed`, framed in `params.wire_format`:
+    /// the endpoints draw their nonces from the attempt RNG here.
+    pub(crate) fn new(params: &Params, authority: &Authority, seed: u64) -> Self {
         let mut rng = SimRng::seed_from_u64(seed);
         let wire = WireConfig::from_params(params);
+        let format = params.wire_format;
         // The protocol semantics live in the handshake endpoints; the
         // step machine is the radio layer around them.
         let initiator = Initiator::new_with_format(
@@ -392,15 +385,17 @@ impl Link {
         base: u64,
         pools: &mut LinkPools,
     ) -> u64 {
-        match self.format {
-            WireFormat::Legacy => pools.hello = self.initiator.hello_frame(),
-            // A always speaks as NodeId(1), so the packed HELLO renders
-            // through the codec's pooled wire scratch with no allocation.
-            WireFormat::Packed => pools
-                .codec
-                .hello_packed(&self.wire, MessageKind::Hello, NodeId(1), &mut pools.hello)
-                .expect("own id fits"),
-        }
+        // A always speaks as NodeId(1), so its HELLO renders through the
+        // codec's pooled wire scratch (allocation-free when packed).
+        self.format
+            .encode_hello_into(
+                &mut pools.codec,
+                &self.wire,
+                MessageKind::Hello,
+                NodeId(1),
+                &mut pools.hello,
+            )
+            .expect("own id fits");
         pools
             .codec
             .encode_into(&pools.hello, &mut pools.coded)
@@ -665,7 +660,8 @@ pub struct ResilientHandshakeReport {
 ///
 /// # Panics
 ///
-/// Panics if the code sets are empty or a shared index is out of range.
+/// Panics if the code sets are empty, a shared index is out of range, or
+/// the jammer's `fraction` lies outside `[0, 1]`.
 pub fn run_link(
     params: &Params,
     authority: &Authority,
@@ -678,6 +674,12 @@ pub fn run_link(
         "empty code sets"
     );
     assert!(spec.shared_a < spec.a_codes.len() && spec.shared_b < spec.b_codes.len());
+    if let Some(j) = spec.jammer {
+        assert!(
+            (0.0..=1.0).contains(&j.fraction),
+            "jam fraction must lie in [0, 1]"
+        );
+    }
     debug_assert_eq!(
         pools.codec.code().mu(),
         params.mu,
@@ -692,7 +694,7 @@ pub fn run_link(
     let mut attempts = Attempts::new(spec.seed);
     let report = loop {
         let seed = attempts.begin(&options.retry);
-        let mut link = Link::new(params, authority, options.format, seed);
+        let mut link = Link::new(params, authority, seed);
         let base = medium.cursor;
         let span = link.broadcast_hello(&a_refs, spec.jammer, &mut medium.channel, base, pools);
         pools.render(&medium.channel, base, span as usize);
@@ -861,12 +863,11 @@ mod tests {
 
     #[test]
     fn packed_format_completes_and_is_deterministic() {
-        let s = setup(13);
+        let mut s = setup(13);
+        let legacy = s.run(None, 901);
+        s.params.wire_format = WireFormat::Packed;
         let mut pools = LinkPools::new(&s.params);
-        let packed = LinkOptions {
-            format: WireFormat::Packed,
-            ..LinkOptions::default()
-        };
+        let packed = LinkOptions::default();
         let r1 = s.run_with(None, 901, &packed, &mut pools).report;
         assert_eq!(r1.stage, Stage::Complete);
         assert!(
@@ -877,7 +878,6 @@ mod tests {
         assert_eq!(r1, r2, "packed path is deterministic");
         // Shorter frames mean a smaller scan window: the packed HELLO
         // round costs strictly fewer correlations than the legacy one.
-        let legacy = s.run(None, 901);
         assert!(legacy.discovered);
         assert!(
             r1.scan_correlations < legacy.scan_correlations,
@@ -889,14 +889,14 @@ mod tests {
 
     #[test]
     fn packed_resilient_retries_behave_like_legacy_machinery() {
-        let s = setup(14);
+        let mut s = setup(14);
+        s.params.wire_format = WireFormat::Packed;
         let mut pools = LinkPools::new(&s.params);
         // A full-strength same-code jammer defeats every attempt in either
         // format; the retry accounting must agree.
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.0, 3);
         let options = LinkOptions {
             retry: RetryPolicy::budgeted(3),
-            format: WireFormat::Packed,
             ..LinkOptions::default()
         };
         let packed = s.run_with(Some(&jammer), 950, &options, &mut pools);
@@ -1020,7 +1020,6 @@ mod tests {
         let options = LinkOptions {
             retry: RetryPolicy::budgeted(3),
             faults: Some(FaultInjector::new(5, FaultPlan::intensity(0.7))),
-            ..LinkOptions::default()
         };
         let mut pools = LinkPools::new(&s.params);
         for seed in [700u64, 701, 702] {
@@ -1057,6 +1056,14 @@ mod tests {
             r.channel_transmissions,
             per_window_bound
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "jam fraction must lie in [0, 1]")]
+    fn jam_fraction_above_one_is_rejected() {
+        let s = setup(15);
+        let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.5, 3);
+        s.run(Some(&jammer), 104);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use crate::jammer::Jammer;
 use crate::messages::{MessageKind, WireConfig};
 use crate::params::Params;
-use crate::wire::{self, WireFormat};
 use jrsnd_crypto::ibc::NodeId;
 use jrsnd_dsss::code::CodeId;
 use jrsnd_ecc::expand::ExpansionCode;
@@ -32,14 +31,6 @@ pub struct DndpConfig {
     /// The "intelligent attack": the jammer deliberately spares HELLOs and
     /// targets only the three later messages.
     pub tail_only_attack: bool,
-    /// Which wire codec frames the HELLO for the coded-airtime accounting
-    /// (`dndp.coded_hello_bits`). `Legacy` keeps the Table-I fixed-width
-    /// frame; `Packed` uses the [`crate::wire`] frame of the canonical
-    /// `NodeId(1)` initiator — the same identity the chip drivers speak
-    /// as — which is less than half the legacy size. Outcomes are
-    /// untouched either way: the probabilistic model below never reads
-    /// frame contents.
-    pub wire_format: WireFormat,
 }
 
 impl Default for DndpConfig {
@@ -47,7 +38,6 @@ impl Default for DndpConfig {
         DndpConfig {
             redundancy: true,
             tail_only_attack: false,
-            wire_format: WireFormat::Legacy,
         }
     }
 }
@@ -66,17 +56,8 @@ pub struct DndpOutcome {
 }
 
 /// Simulates one D-NDP execution between two physical neighbors sharing
-/// `shared` codes, under `jammer`, with the paper's default redundancy.
-pub fn simulate_pair(
-    params: &Params,
-    shared: &[CodeId],
-    jammer: &Jammer,
-    rng: &mut SimRng,
-) -> DndpOutcome {
-    simulate_pair_with(params, shared, jammer, DndpConfig::default(), rng)
-}
-
-/// [`simulate_pair`] with explicit protocol/attack variants.
+/// `shared` codes, under `jammer`, in the protocol/attack variant
+/// `config` ([`DndpConfig::default`] is the paper's design).
 pub fn simulate_pair_with(
     params: &Params,
     shared: &[CodeId],
@@ -97,18 +78,15 @@ pub fn simulate_pair_with(
     }
     metric_counter!("dndp.hellos_sent").add(x as u64);
     // Coded-airtime accounting: each HELLO copy is the frame's message
-    // bits expanded through the (1+mu) ECC — l_t + l_id on the legacy
-    // wire, the canonical NodeId(1) packed frame otherwise. Pure
-    // arithmetic via the codec's layout — the probabilistic model below
-    // never touches the RNG for this.
-    let hello_msg_bits = match config.wire_format {
-        WireFormat::Legacy => params.l_t + params.l_id,
-        WireFormat::Packed => wire::packed_hello_bits(
-            &WireConfig::from_params(params),
-            MessageKind::Hello,
-            NodeId(1),
-        ),
-    };
+    // bits in `params.wire_format` — as sent by the canonical NodeId(1)
+    // initiator the chip drivers speak as — expanded through the (1+mu)
+    // ECC. Pure arithmetic via the codec's layout — the probabilistic
+    // model below never reads frame contents or touches the RNG for this.
+    let hello_msg_bits = params.wire_format.hello_bits(
+        &WireConfig::from_params(params),
+        MessageKind::Hello,
+        NodeId(1),
+    );
     if let Ok(layout) = ExpansionCode::new(params.mu).and_then(|c| c.layout(hello_msg_bits)) {
         metric_counter!("dndp.coded_hello_bits").add((x * layout.coded_bits()) as u64);
     }
@@ -208,22 +186,21 @@ pub struct ResilientDndpOutcome {
 /// [`simulate_pair_with`] under a retry budget and optional fault
 /// injection.
 ///
-/// Each attempt re-runs the pairwise handshake; an injected session
-/// fault (keyed by `(pair_stream, attempt)`, so independent of query
-/// order and worker count) voids an otherwise-successful attempt.
-/// Failed attempts wait out an exponential backoff whose jitter comes
-/// from `rng`, keeping the whole schedule reproducible. When the budget
-/// is exhausted the pair is reported as degraded — never a panic or an
-/// abort — matching the protocol's graceful-degradation contract.
-#[allow(clippy::too_many_arguments)]
+/// Each attempt re-runs the pairwise handshake. `faults` pairs the run's
+/// injector with this pair's fault stream: an injected session fault
+/// (keyed by `(stream, attempt)`, so independent of query order and
+/// worker count) voids an otherwise-successful attempt. Failed attempts
+/// wait out an exponential backoff whose jitter comes from `rng`, keeping
+/// the whole schedule reproducible. When the budget is exhausted the pair
+/// is reported as degraded — never a panic or an abort — matching the
+/// protocol's graceful-degradation contract.
 pub fn simulate_pair_resilient(
     params: &Params,
     shared: &[CodeId],
     jammer: &Jammer,
     config: DndpConfig,
-    faults: Option<&FaultInjector>,
     retry: &RetryPolicy,
-    pair_stream: u64,
+    faults: Option<(&FaultInjector, u64)>,
     rng: &mut SimRng,
 ) -> ResilientDndpOutcome {
     let budget = retry.max_attempts.max(1);
@@ -241,8 +218,8 @@ pub fn simulate_pair_resilient(
         metric_counter!("retry.attempts").inc();
         outcome = simulate_pair_with(params, shared, jammer, config, rng);
         if outcome.discovered {
-            if let Some(inj) = faults {
-                if inj.session_disrupted(pair_stream, u64::from(attempt)) {
+            if let Some((inj, stream)) = faults {
+                if inj.session_disrupted(stream, u64::from(attempt)) {
                     // The sub-session completed at protocol level but the
                     // injected chip-layer fault voids it.
                     outcome.discovered = false;
@@ -325,7 +302,13 @@ mod tests {
     fn no_shared_codes_never_discovers() {
         let p = Params::table1();
         let mut rng = SimRng::seed_from_u64(1);
-        let out = simulate_pair(&p, &[], &Jammer::inactive(&p), &mut rng);
+        let out = simulate_pair_with(
+            &p,
+            &[],
+            &Jammer::inactive(&p),
+            DndpConfig::default(),
+            &mut rng,
+        );
         assert!(!out.discovered);
         assert_eq!(out.shared_codes, 0);
         assert_eq!(out.latency, None);
@@ -337,7 +320,13 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         for x in 1..5 {
             let shared: Vec<CodeId> = (0..x).map(CodeId).collect();
-            let out = simulate_pair(&p, &shared, &Jammer::inactive(&p), &mut rng);
+            let out = simulate_pair_with(
+                &p,
+                &shared,
+                &Jammer::inactive(&p),
+                DndpConfig::default(),
+                &mut rng,
+            );
             assert!(out.discovered);
             assert_eq!(out.surviving_sessions, x as usize);
             assert!(out.latency.is_some());
@@ -349,39 +338,45 @@ mod tests {
         let p = Params::table1();
         let j = reactive(&[1, 2, 3], &p);
         let mut rng = SimRng::seed_from_u64(3);
-        let out = simulate_pair(&p, &codes(&[1, 2]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1, 2]), &j, DndpConfig::default(), &mut rng);
         assert!(!out.discovered);
         // One non-compromised code saves the pair.
-        let out = simulate_pair(&p, &codes(&[1, 9]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1, 9]), &j, DndpConfig::default(), &mut rng);
         assert!(out.discovered);
         assert_eq!(out.surviving_sessions, 1);
     }
 
     #[test]
     fn packed_wire_format_shrinks_hello_airtime_without_touching_outcomes() {
+        use crate::wire::WireFormat;
         let p = Params::table1();
+        let packed_p = Params {
+            wire_format: WireFormat::Packed,
+            ..Params::table1()
+        };
         // The accounting input: the canonical packed HELLO is well under
         // half the legacy l_t + l_id frame.
-        let packed_bits =
-            wire::packed_hello_bits(&WireConfig::from_params(&p), MessageKind::Hello, NodeId(1));
+        let hello_bits = |p: &Params| {
+            p.wire_format
+                .hello_bits(&WireConfig::from_params(p), MessageKind::Hello, NodeId(1))
+        };
+        assert_eq!(hello_bits(&p), p.l_t + p.l_id);
         assert!(
-            2 * packed_bits < p.l_t + p.l_id,
+            2 * hello_bits(&packed_p) < hello_bits(&p),
             "packed {} vs legacy {} hello bits",
-            packed_bits,
-            p.l_t + p.l_id
+            hello_bits(&packed_p),
+            hello_bits(&p)
         );
-        // And the knob is pure accounting: same seed, identical outcomes.
+        // And the format is pure accounting here: same seed, identical
+        // outcomes.
         let j = reactive(&[1], &p);
         let shared = codes(&[1, 2]);
-        let packed_cfg = DndpConfig {
-            wire_format: WireFormat::Packed,
-            ..DndpConfig::default()
-        };
         for seed in 0..50u64 {
             let mut rng_a = SimRng::seed_from_u64(seed);
             let mut rng_b = SimRng::seed_from_u64(seed);
-            let legacy = simulate_pair_with(&p, &shared, &j, DndpConfig::default(), &mut rng_a);
-            let packed = simulate_pair_with(&p, &shared, &j, packed_cfg, &mut rng_b);
+            let config = DndpConfig::default();
+            let legacy = simulate_pair_with(&p, &shared, &j, config, &mut rng_a);
+            let packed = simulate_pair_with(&packed_p, &shared, &j, config, &mut rng_b);
             assert_eq!(legacy, packed, "seed {seed}");
         }
     }
@@ -396,12 +391,10 @@ mod tests {
         let attack = DndpConfig {
             redundancy: true,
             tail_only_attack: true,
-            ..DndpConfig::default()
         };
         let strawman = DndpConfig {
             redundancy: false,
             tail_only_attack: true,
-            ..DndpConfig::default()
         };
         let mut rng = SimRng::seed_from_u64(4);
         let trials = 4000;
@@ -429,7 +422,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let trials = 20_000;
         let wins = (0..trials)
-            .filter(|_| simulate_pair(&p, &codes(&[7]), &j, &mut rng).discovered)
+            .filter(|_| {
+                simulate_pair_with(&p, &codes(&[7]), &j, DndpConfig::default(), &mut rng).discovered
+            })
             .count();
         let rate = wins as f64 / trials as f64;
         assert!((rate - 0.63).abs() < 0.015, "survival {rate}");
@@ -468,9 +463,8 @@ mod tests {
                 &codes(&[1, 9]),
                 &j,
                 DndpConfig::default(),
-                None,
                 &RetryPolicy::none(),
-                0,
+                None,
                 &mut res_rng,
             );
             assert_eq!(resilient.outcome, plain, "seed {seed}");
@@ -497,9 +491,8 @@ mod tests {
             &codes(&[4]),
             &Jammer::inactive(&p),
             DndpConfig::default(),
-            Some(&inj),
             &retry,
-            7,
+            Some((&inj, 7)),
             &mut rng,
         );
         assert!(r.degraded);
@@ -524,9 +517,8 @@ mod tests {
                 &codes(&[4]),
                 &Jammer::inactive(&p),
                 DndpConfig::default(),
-                Some(&inj),
                 &retry,
-                pair,
+                Some((&inj, pair)),
                 &mut rng,
             );
             if r.attempts > 1 && r.outcome.discovered {
@@ -544,7 +536,7 @@ mod tests {
         let p = Params::table1();
         let j = reactive(&[1], &p);
         let mut rng = SimRng::seed_from_u64(7);
-        let out = simulate_pair(&p, &codes(&[1]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1]), &j, DndpConfig::default(), &mut rng);
         assert!(!out.discovered && out.latency.is_none());
     }
 }

@@ -59,7 +59,6 @@ use crate::chiplink::{
     MEDIUM_SALT,
 };
 use crate::params::Params;
-use crate::wire::WireFormat;
 use jrsnd_crypto::ibc::Authority;
 use jrsnd_dsss::code::SpreadCode;
 use jrsnd_dsss::correlate::MultiCorrelator;
@@ -164,8 +163,11 @@ pub struct SessionOutcome {
     pub backoff_s: f64,
 }
 
-/// Engine tuning knobs. None of them affect outcomes — only scheduling
-/// and memory shape — which the equivalence tests assert.
+/// Engine tuning knobs. Apart from `retry` — the same budget the
+/// sequential oracle takes — none of them affect outcomes, only
+/// scheduling and memory shape, which the equivalence tests assert.
+/// Everything that changes the bits on the air, the wire format
+/// included, lives in [`Params`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Sessions whose HELLO windows share one render + prefix-sum pass.
@@ -179,12 +181,6 @@ pub struct EngineConfig {
     /// Worker threads; `None` resolves `JRSND_THREADS` then available
     /// parallelism. Clamped to `[1, shards]`.
     pub threads: Option<usize>,
-    /// Wire codec every session's frames run through. `Legacy` (the
-    /// default) keeps all committed outputs byte-identical; `Packed`
-    /// switches to the [`crate::wire`] format — unlike the other knobs it
-    /// changes the bits on the air (shorter frames), though outcomes on a
-    /// clean channel are unaffected.
-    pub format: WireFormat,
 }
 
 impl Default for EngineConfig {
@@ -194,7 +190,6 @@ impl Default for EngineConfig {
             shards: 16,
             retry: RetryPolicy::none(),
             threads: None,
-            format: WireFormat::Legacy,
         }
     }
 }
@@ -362,6 +357,10 @@ impl<'p> BatchEngine<'p> {
         check(&spec.b_codes, spec.shared_b, "b_codes");
         if let Some(j) = &spec.jammer {
             assert!(j.code < self.pool.len(), "jammer pool index out of range");
+            assert!(
+                (0.0..=1.0).contains(&j.fraction),
+                "jam fraction must lie in [0, 1]"
+            );
         }
         if let SessionKind::MultiHop {
             relay_a_codes,
@@ -381,7 +380,8 @@ impl<'p> BatchEngine<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if any spec references a pool or shared index out of range.
+    /// Panics if any spec references a pool or shared index out of range,
+    /// or a jammer's `fraction` lies outside `[0, 1]`.
     pub fn run(&self, specs: &[SessionSpec]) -> Vec<SessionOutcome> {
         if specs.is_empty() {
             return Vec::new();
@@ -475,7 +475,7 @@ impl<'p> BatchEngine<'p> {
                 for &i in chunk {
                     let s = &mut slots[i];
                     let seed = s.attempts.begin(retry);
-                    let mut link = Link::new(self.params, self.authority, self.config.format, seed);
+                    let mut link = Link::new(self.params, self.authority, seed);
                     a_refs.clear();
                     a_refs.extend(s.a_idx.iter().map(|&k| &self.pool[k]));
                     let base = medium.cursor;
@@ -555,8 +555,8 @@ pub mod reference {
     use super::*;
     use crate::chiplink::run_link;
 
-    /// Runs `specs` sequentially, one resilient handshake per leg,
-    /// returning outcomes in spec order.
+    /// Runs `specs` sequentially, one resilient handshake per leg, in
+    /// `params.wire_format`, returning outcomes in spec order.
     pub fn run_sessions(
         params: &Params,
         authority: &Authority,
@@ -564,23 +564,9 @@ pub mod reference {
         retry: &RetryPolicy,
         specs: &[SessionSpec],
     ) -> Vec<SessionOutcome> {
-        run_sessions_fmt(params, authority, pool, retry, specs, WireFormat::Legacy)
-    }
-
-    /// [`run_sessions`] with an explicit [`WireFormat`] — the sequential
-    /// oracle for format-parameterised engine runs.
-    pub fn run_sessions_fmt(
-        params: &Params,
-        authority: &Authority,
-        pool: &[SpreadCode],
-        retry: &RetryPolicy,
-        specs: &[SessionSpec],
-        format: WireFormat,
-    ) -> Vec<SessionOutcome> {
         let options = LinkOptions {
             retry: *retry,
             faults: None,
-            format,
         };
         let mut pools = LinkPools::new(params);
         let mut leg = |a_idx: &[usize],
@@ -733,7 +719,6 @@ mod tests {
                 shards: 3,
                 retry,
                 threads: Some(1),
-                format: WireFormat::Legacy,
             };
             let engine = BatchEngine::new(&params, &authority, &pool, config);
             let got = engine.run(&specs);
@@ -749,7 +734,11 @@ mod tests {
 
     #[test]
     fn packed_engine_matches_the_packed_sequential_reference() {
-        let params = chip_params();
+        let legacy_params = chip_params();
+        let params = Params {
+            wire_format: crate::wire::WireFormat::Packed,
+            ..chip_params()
+        };
         let authority = Authority::from_seed(b"engine");
         let pool = pool(11, 8, params.n_chips);
         let specs = mixed_specs();
@@ -759,18 +748,10 @@ mod tests {
             shards: 3,
             retry,
             threads: Some(1),
-            format: WireFormat::Packed,
         };
         let engine = BatchEngine::new(&params, &authority, &pool, config);
         let got = engine.run(&specs);
-        let want = reference::run_sessions_fmt(
-            &params,
-            &authority,
-            &pool,
-            &retry,
-            &specs,
-            WireFormat::Packed,
-        );
+        let want = reference::run_sessions(&params, &authority, &pool, &retry, &specs);
         assert_eq!(got, want, "packed engine == packed sequential oracle");
         assert!(got[0].report.discovered, "clean packed session discovers");
         assert!(
@@ -779,7 +760,7 @@ mod tests {
         );
         assert!(got[3].report.discovered, "packed M-NDP legs complete");
         // Airtime win: the packed HELLO round scans strictly fewer chips.
-        let legacy = reference::run_sessions(&params, &authority, &pool, &retry, &specs);
+        let legacy = reference::run_sessions(&legacy_params, &authority, &pool, &retry, &specs);
         assert!(
             got[0].report.scan_correlations < legacy[0].report.scan_correlations,
             "packed {} vs legacy {} scan correlations",
@@ -800,7 +781,6 @@ mod tests {
                 shards,
                 retry: RetryPolicy::budgeted(1),
                 threads: Some(threads),
-                format: WireFormat::Legacy,
             };
             BatchEngine::new(&params, &authority, &pool, config).run(&specs)
         };
@@ -812,6 +792,17 @@ mod tests {
                 "threads={threads} chunk={chunk} shards={shards}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "jam fraction must lie in [0, 1]")]
+    fn jam_fraction_above_one_is_rejected() {
+        let params = chip_params();
+        let authority = Authority::from_seed(b"engine");
+        let pool = pool(11, 8, params.n_chips);
+        let mut spec = mixed_specs().swap_remove(1);
+        spec.jammer.as_mut().expect("jammed spec").fraction = 1.5;
+        BatchEngine::new(&params, &authority, &pool, EngineConfig::default()).run(&[spec]);
     }
 
     #[test]

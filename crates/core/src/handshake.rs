@@ -20,21 +20,22 @@
 //!
 //! Crypto datapath: as soon as an endpoint learns its peer it precomputes
 //! the pairwise [`HmacKey`] (ipad/opad compression states), so every
-//! subsequent tag computation/verification and the session-code PRF run
-//! on the two-compressions-per-MAC fast path. The `*_cached` entry points
-//! additionally consult a shared [`SessionCodeCache`], so a retry — or the
-//! opposite endpoint of a locally simulated pair — never rederives
-//! `C_AB`.
+//! subsequent tag computation/verification runs on the
+//! two-compressions-per-MAC fast path. The final AUTH step resolves
+//! `C_AB` through a shared [`SessionCodeCache`], so a retry — or the
+//! opposite endpoint of a locally simulated pair — never rederives it.
+//!
+//! Frames go through the [`WireFormat`] the driver passes in (its
+//! [`Params::wire_format`](crate::params::Params::wire_format)).
 
 use crate::messages::{MessageKind, WireConfig};
-use crate::wire::{self, WireFormat};
+use crate::wire::WireFormat;
 use jrsnd_crypto::hmac::HmacKey;
 use jrsnd_crypto::ibc::{IdPrivateKey, NodeId, SharedKey};
 use jrsnd_crypto::mac::auth_tag_keyed;
-use jrsnd_crypto::mac::AuthTag;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::replay::ReplayGuard;
-use jrsnd_crypto::session::{derive_session_code_with, SessionCodeCache};
+use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::code::CodeId;
 use jrsnd_sim::rng::SimRng;
 use std::fmt;
@@ -82,85 +83,6 @@ impl fmt::Display for HandshakeError {
 
 impl std::error::Error for HandshakeError {}
 
-/// A received MAC in whichever representation the active wire format
-/// parses it to: the legacy codec yields the truncated tag as bits, the
-/// packed codec as a single integer.
-enum ParsedMac {
-    Legacy(Vec<bool>),
-    Packed(u64),
-}
-
-/// Format-dispatched HELLO/CONFIRM encode (shared by both endpoints).
-fn encode_hello_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    kind: MessageKind,
-    id: NodeId,
-) -> Vec<bool> {
-    match format {
-        WireFormat::Legacy => cfg.encode_hello(kind, id).expect("own id fits l_id"),
-        WireFormat::Packed => wire::hello_frame_bools(cfg, kind, id).expect("own id fits l_id"),
-    }
-}
-
-/// Format-dispatched HELLO/CONFIRM decode.
-fn decode_hello_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    bits: &[bool],
-) -> Result<(MessageKind, NodeId), HandshakeError> {
-    match format {
-        WireFormat::Legacy => cfg
-            .decode_hello(bits)
-            .map_err(|_| HandshakeError::Malformed),
-        WireFormat::Packed => {
-            wire::parse_hello_bools(cfg, bits).map_err(|_| HandshakeError::Malformed)
-        }
-    }
-}
-
-/// Format-dispatched AUTH encode.
-fn encode_auth_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    id: NodeId,
-    nonce: Nonce,
-    tag: &AuthTag,
-) -> Vec<bool> {
-    match format {
-        WireFormat::Legacy => cfg.encode_auth(id, nonce, tag).expect("fields fit"),
-        WireFormat::Packed => wire::auth_frame_bools(cfg, id, nonce, tag).expect("fields fit"),
-    }
-}
-
-/// Format-dispatched AUTH decode.
-fn decode_auth_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    bits: &[bool],
-) -> Result<(NodeId, Nonce, ParsedMac), HandshakeError> {
-    match format {
-        WireFormat::Legacy => cfg
-            .decode_auth(bits)
-            .map(|(id, n, tag_bits)| (id, n, ParsedMac::Legacy(tag_bits)))
-            .map_err(|_| HandshakeError::Malformed),
-        WireFormat::Packed => wire::parse_auth_bools(cfg, bits)
-            .map(|(id, n, mac)| (id, n, ParsedMac::Packed(mac)))
-            .map_err(|_| HandshakeError::Malformed),
-    }
-}
-
-/// Whether a received MAC matches the locally computed tag, in whichever
-/// representation it was parsed. The packed side is an integer compare
-/// against the identical truncated bit pattern (see
-/// [`wire::truncated_tag_value`]).
-fn mac_matches(cfg: &WireConfig, received: &ParsedMac, local: &AuthTag) -> bool {
-    match received {
-        ParsedMac::Legacy(bits) => cfg.tag_matches(bits, local),
-        ParsedMac::Packed(mac) => wire::truncated_tag_value(cfg, local).is_ok_and(|v| v == *mac),
-    }
-}
-
 /// A completed handshake: the authenticated peer and the shared session
 /// spread code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,21 +115,15 @@ pub struct Initiator {
     peer: Option<NodeId>,
     code: Option<CodeId>,
     /// Pairwise key for the confirmed peer, with its HMAC pad states
-    /// precomputed (set on CONFIRM, reused for AUTH_A, AUTH_B, and the
-    /// session-code PRF).
+    /// precomputed (set on CONFIRM, reused for AUTH_A and AUTH_B; the key
+    /// also keys the session-code cache).
     pair: Option<(SharedKey, HmacKey)>,
 }
 
 impl Initiator {
-    /// Creates an initiator on the legacy wire format; `rng` draws the
-    /// replay nonce `n_A`.
-    pub fn new(key: IdPrivateKey, wire: WireConfig, n_chips: usize, rng: &mut SimRng) -> Self {
-        Self::new_with_format(key, wire, WireFormat::Legacy, n_chips, rng)
-    }
-
-    /// Creates an initiator speaking the given [`WireFormat`]. Draws the
-    /// same RNG state as [`Initiator::new`], so switching formats never
-    /// perturbs a seeded simulation's nonce sequence.
+    /// Creates an initiator speaking `format`; `rng` draws the replay
+    /// nonce `n_A`. The draw is the same in every format, so switching
+    /// formats never perturbs a seeded simulation's nonce sequence.
     pub fn new_with_format(
         key: IdPrivateKey,
         wire: WireConfig,
@@ -237,7 +153,9 @@ impl Initiator {
     /// Panics if the node id exceeds `l_id` bits (checked at issue time in
     /// practice).
     pub fn hello_frame(&self) -> Vec<bool> {
-        encode_hello_any(&self.wire, self.format, MessageKind::Hello, self.key.id())
+        self.format
+            .encode_hello(&self.wire, MessageKind::Hello, self.key.id())
+            .expect("own id fits l_id")
     }
 
     /// Handles B's CONFIRM (decoded bits) heard on `code`; returns the
@@ -250,8 +168,9 @@ impl Initiator {
         if self.state != InitiatorState::AwaitConfirm {
             return Err(self.fail_state());
         }
-        let (kind, peer) = decode_hello_any(&self.wire, self.format, bits).inspect_err(|_| {
+        let (kind, peer) = self.format.parse_hello(&self.wire, bits).map_err(|_| {
             self.state = InitiatorState::Failed;
+            HandshakeError::Malformed
         })?;
         if kind != MessageKind::Confirm || peer == self.key.id() {
             self.state = InitiatorState::Failed;
@@ -263,23 +182,17 @@ impl Initiator {
         let hk = HmacKey::precompute(k_ab.as_bytes());
         let tag = auth_tag_keyed(&hk, self.key.id(), self.nonce);
         self.pair = Some((k_ab, hk));
-        let frame = encode_auth_any(&self.wire, self.format, self.key.id(), self.nonce, &tag);
+        let frame = self
+            .format
+            .encode_auth(&self.wire, self.key.id(), self.nonce, &tag)
+            .expect("fields fit");
         self.state = InitiatorState::AwaitAuthB;
         Ok(frame)
     }
 
-    /// Handles B's AUTH_B; on success the handshake is complete.
-    ///
-    /// # Errors
-    ///
-    /// [`HandshakeError`] on state, parse, tag, or identity violations.
-    pub fn on_auth_b(&mut self, bits: &[bool]) -> Result<Established, HandshakeError> {
-        self.on_auth_b_impl(bits, None)
-    }
-
-    /// [`on_auth_b`](Initiator::on_auth_b), but resolving the session code
-    /// through a shared [`SessionCodeCache`] — a retry (or the peer
-    /// endpoint in a local simulation) reuses the cached derivation.
+    /// Handles B's AUTH_B; on success the handshake is complete. The
+    /// session code resolves through the shared `cache` — a retry (or the
+    /// peer endpoint in a local simulation) reuses the cached derivation.
     ///
     /// # Errors
     ///
@@ -289,45 +202,29 @@ impl Initiator {
         bits: &[bool],
         cache: &mut SessionCodeCache,
     ) -> Result<Established, HandshakeError> {
-        self.on_auth_b_impl(bits, Some(cache))
-    }
-
-    fn on_auth_b_impl(
-        &mut self,
-        bits: &[bool],
-        cache: Option<&mut SessionCodeCache>,
-    ) -> Result<Established, HandshakeError> {
         if self.state != InitiatorState::AwaitAuthB {
             return Err(self.fail_state());
         }
-        let (peer, n_b, mac) =
-            decode_auth_any(&self.wire, self.format, bits).inspect_err(|_| {
-                self.state = InitiatorState::Failed;
-            })?;
+        let (peer, n_b, mac) = self.format.parse_auth(&self.wire, bits).map_err(|_| {
+            self.state = InitiatorState::Failed;
+            HandshakeError::Malformed
+        })?;
         if Some(peer) != self.peer {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
         let (k_ab, hk) = self.pair.as_ref().expect("pair key set on CONFIRM");
-        if !mac_matches(&self.wire, &mac, &auth_tag_keyed(hk, peer, n_b)) {
+        if !mac.matches(&self.wire, &auth_tag_keyed(hk, peer, n_b)) {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
         self.state = InitiatorState::Done;
-        let session_code = match cache {
-            Some(cache) => cache
-                .get_or_derive(k_ab, self.nonce, n_b, self.n_chips)
-                .to_vec(),
-            None => {
-                let mut code = Vec::new();
-                derive_session_code_with(hk, self.nonce, n_b, self.n_chips, &mut code);
-                code
-            }
-        };
         Ok(Established {
             peer,
             discovery_code: self.code.expect("set on CONFIRM"),
-            session_code,
+            session_code: cache
+                .get_or_derive(k_ab, self.nonce, n_b, self.n_chips)
+                .to_vec(),
         })
     }
 
@@ -373,31 +270,16 @@ pub struct Responder {
     peer: Option<NodeId>,
     code: Option<CodeId>,
     /// Pairwise key for the peer that said HELLO, with precomputed HMAC
-    /// pad states (set on HELLO, reused across AUTH_A/AUTH_B and the
-    /// session-code PRF).
+    /// pad states (set on HELLO, reused across AUTH_A/AUTH_B; the key
+    /// also keys the session-code cache).
     pair: Option<(SharedKey, HmacKey)>,
     replay: ReplayGuard,
 }
 
 impl Responder {
-    /// Creates a responder with a replay window of `replay_capacity`
-    /// remembered `(peer, nonce)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replay_capacity` is zero.
-    pub fn new(
-        key: IdPrivateKey,
-        wire: WireConfig,
-        n_chips: usize,
-        replay_capacity: usize,
-        rng: &mut SimRng,
-    ) -> Self {
-        Self::new_with_format(key, wire, WireFormat::Legacy, n_chips, replay_capacity, rng)
-    }
-
-    /// Creates a responder speaking the given [`WireFormat`]; same RNG
-    /// draws as [`Responder::new`].
+    /// Creates a responder speaking `format` with a replay window of
+    /// `replay_capacity` remembered `(peer, nonce)` pairs; `rng` draws the
+    /// nonce `n_B`, the same draw in every format.
     ///
     /// # Panics
     ///
@@ -435,7 +317,10 @@ impl Responder {
         if self.state != ResponderState::AwaitHello {
             return Err(self.fail_state());
         }
-        let (kind, peer) = decode_hello_any(&self.wire, self.format, bits)?;
+        let (kind, peer) = self
+            .format
+            .parse_hello(&self.wire, bits)
+            .map_err(|_| HandshakeError::Malformed)?;
         if kind != MessageKind::Hello || peer == self.key.id() {
             return Err(HandshakeError::Malformed);
         }
@@ -445,27 +330,14 @@ impl Responder {
         let hk = HmacKey::precompute(k_ba.as_bytes());
         self.pair = Some((k_ba, hk));
         self.state = ResponderState::AwaitAuthA;
-        Ok(encode_hello_any(
-            &self.wire,
-            self.format,
-            MessageKind::Confirm,
-            self.key.id(),
-        ))
+        Ok(self
+            .format
+            .encode_hello(&self.wire, MessageKind::Confirm, self.key.id())
+            .expect("own id fits l_id"))
     }
 
     /// Handles A's AUTH_A; on success returns the AUTH_B frame plus the
-    /// established session.
-    ///
-    /// # Errors
-    ///
-    /// [`HandshakeError`] on state, parse, tag, identity, or replay
-    /// violations.
-    pub fn on_auth_a(&mut self, bits: &[bool]) -> Result<(Vec<bool>, Established), HandshakeError> {
-        self.on_auth_a_impl(bits, None)
-    }
-
-    /// [`on_auth_a`](Responder::on_auth_a), but resolving the session code
-    /// through a shared [`SessionCodeCache`].
+    /// established session, its code resolved through the shared `cache`.
     ///
     /// # Errors
     ///
@@ -476,27 +348,19 @@ impl Responder {
         bits: &[bool],
         cache: &mut SessionCodeCache,
     ) -> Result<(Vec<bool>, Established), HandshakeError> {
-        self.on_auth_a_impl(bits, Some(cache))
-    }
-
-    fn on_auth_a_impl(
-        &mut self,
-        bits: &[bool],
-        cache: Option<&mut SessionCodeCache>,
-    ) -> Result<(Vec<bool>, Established), HandshakeError> {
         if self.state != ResponderState::AwaitAuthA {
             return Err(self.fail_state());
         }
-        let (peer, n_a, mac) =
-            decode_auth_any(&self.wire, self.format, bits).inspect_err(|_| {
-                self.state = ResponderState::Failed;
-            })?;
+        let (peer, n_a, mac) = self.format.parse_auth(&self.wire, bits).map_err(|_| {
+            self.state = ResponderState::Failed;
+            HandshakeError::Malformed
+        })?;
         if Some(peer) != self.peer {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
         let (k_ba, hk) = self.pair.as_ref().expect("pair key set on HELLO");
-        if !mac_matches(&self.wire, &mac, &auth_tag_keyed(hk, peer, n_a)) {
+        if !mac.matches(&self.wire, &auth_tag_keyed(hk, peer, n_a)) {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
@@ -506,24 +370,19 @@ impl Responder {
             return Err(HandshakeError::Replayed { peer });
         }
         let tag_b = auth_tag_keyed(hk, self.key.id(), self.nonce);
-        let frame = encode_auth_any(&self.wire, self.format, self.key.id(), self.nonce, &tag_b);
+        let frame = self
+            .format
+            .encode_auth(&self.wire, self.key.id(), self.nonce, &tag_b)
+            .expect("fields fit");
         self.state = ResponderState::Done;
-        let session_code = match cache {
-            Some(cache) => cache
-                .get_or_derive(k_ba, self.nonce, n_a, self.n_chips)
-                .to_vec(),
-            None => {
-                let mut code = Vec::new();
-                derive_session_code_with(hk, self.nonce, n_a, self.n_chips, &mut code);
-                code
-            }
-        };
         Ok((
             frame,
             Established {
                 peer,
                 discovery_code: self.code.expect("set on HELLO"),
-                session_code,
+                session_code: cache
+                    .get_or_derive(k_ba, self.nonce, n_a, self.n_chips)
+                    .to_vec(),
             },
         ))
     }
@@ -558,31 +417,50 @@ mod tests {
     use jrsnd_crypto::mac::auth_tag;
     use rand::SeedableRng;
 
-    fn setup(seed: u64) -> (Initiator, Responder) {
+    /// A fresh session-code cache: an endpoint given its own derives
+    /// `C_AB` independently of its peer.
+    fn cache() -> SessionCodeCache {
+        SessionCodeCache::new(8)
+    }
+
+    /// A (NodeId 1) and B (NodeId 2) on the legacy wire, nonces drawn from
+    /// `rng`.
+    fn pair(rng: &mut SimRng) -> (Initiator, Responder) {
         let params = Params::table1();
         let wire = WireConfig::from_params(&params);
         let authority = Authority::from_seed(b"handshake");
-        let mut rng = SimRng::seed_from_u64(seed);
-        let a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let b = Responder::new(
+        let a = Initiator::new_with_format(
+            authority.issue(NodeId(1)),
+            wire,
+            WireFormat::Legacy,
+            params.n_chips,
+            rng,
+        );
+        let b = Responder::new_with_format(
             authority.issue(NodeId(2)),
             wire,
+            WireFormat::Legacy,
             params.n_chips,
             64,
-            &mut rng,
+            rng,
         );
         (a, b)
     }
 
-    /// Drives a full clean exchange, returning both sides' sessions.
+    fn setup(seed: u64) -> (Initiator, Responder) {
+        pair(&mut SimRng::seed_from_u64(seed))
+    }
+
+    /// Drives a full clean exchange, returning both sides' sessions, each
+    /// derived through its own cache.
     fn run_clean(seed: u64) -> (Established, Established) {
         let (mut a, mut b) = setup(seed);
         let code = CodeId(7);
         let hello = a.hello_frame();
         let confirm = b.on_hello(&hello, code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (auth_b, est_b) = b.on_auth_a(&auth_a).unwrap();
-        let est_a = a.on_auth_b(&auth_b).unwrap();
+        let (auth_b, est_b) = b.on_auth_a_cached(&auth_a, &mut cache()).unwrap();
+        let est_a = a.on_auth_b_cached(&auth_b, &mut cache()).unwrap();
         assert!(a.is_done() && b.is_done());
         (est_a, est_b)
     }
@@ -598,13 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_exchange_matches_uncached_and_hits_once() {
-        // Same seed => same nonces => the cached run must reproduce the
-        // uncached session codes bit for bit.
+    fn shared_cache_matches_private_derivations_and_hits_once() {
+        // Same seed => same nonces => the shared-cache run must reproduce
+        // the per-endpoint derivations bit for bit.
         let (plain_a, plain_b) = run_clean(42);
         let (mut a, mut b) = setup(42);
         let code = CodeId(7);
-        let mut cache = jrsnd_crypto::session::SessionCodeCache::new(8);
+        let mut cache = cache();
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
         // Responder derives (miss) …
@@ -648,8 +526,8 @@ mod tests {
         let confirm = b.on_hello(&hello, code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
         assert!(auth_a.len() < wire.auth_bits(), "packed auth saves airtime");
-        let (auth_b, est_b) = b.on_auth_a(&auth_a).unwrap();
-        let est_a = a.on_auth_b(&auth_b).unwrap();
+        let (auth_b, est_b) = b.on_auth_a_cached(&auth_a, &mut cache()).unwrap();
+        let est_a = a.on_auth_b_cached(&auth_b, &mut cache()).unwrap();
         assert!(a.is_done() && b.is_done());
         assert_eq!(est_a.session_code, est_b.session_code);
         // Same seed on the legacy path: identical nonce draws, so the
@@ -677,7 +555,7 @@ mod tests {
         let idx = auth2.len() - 1;
         auth2[idx] = !auth2[idx];
         assert!(matches!(
-            b2.on_auth_a(&auth2),
+            b2.on_auth_a_cached(&auth2, &mut cache()),
             Err(HandshakeError::BadTag { claimed: NodeId(1) })
         ));
     }
@@ -699,7 +577,7 @@ mod tests {
         let idx = auth_a.len() - 1;
         auth_a[idx] = !auth_a[idx];
         assert!(matches!(
-            b.on_auth_a(&auth_a),
+            b.on_auth_a_cached(&auth_a, &mut cache()),
             Err(HandshakeError::BadTag { claimed: NodeId(1) })
         ));
         assert!(!b.is_done());
@@ -709,38 +587,22 @@ mod tests {
     fn replayed_auth_a_is_rejected_by_a_fresh_responder() {
         // Capture a valid AUTH_A, then replay it to a new responder whose
         // replay guard has already seen the (peer, nonce) pair.
-        let params = Params::table1();
-        let wire = WireConfig::from_params(&params);
-        let authority = Authority::from_seed(b"handshake");
         let mut rng = SimRng::seed_from_u64(4);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let mut b = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
+        let (mut a, mut b) = pair(&mut rng);
         let code = CodeId(9);
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (_, _) = b.on_auth_a(&auth_a).unwrap();
+        let (_, _) = b.on_auth_a_cached(&auth_a, &mut cache()).unwrap();
         // The attacker replays the captured AUTH_A against the responder
         // identity's next session, which shares the long-lived guard.
-        let mut b2 = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
+        let (_, mut b2) = pair(&mut rng);
         let confirm2 = b2.on_hello(&a.hello_frame(), code).unwrap();
         let _ = confirm2;
         // Seed b2's guard with the observed pair, as a long-lived node
         // would have.
         assert!(b2.replay.check_and_record(NodeId(1), a.nonce));
         assert!(matches!(
-            b2.on_auth_a(&auth_a),
+            b2.on_auth_a_cached(&auth_a, &mut cache()),
             Err(HandshakeError::Replayed { peer: NodeId(1) })
         ));
     }
@@ -749,8 +611,28 @@ mod tests {
     fn out_of_order_frames_are_rejected() {
         let (mut a, mut b) = setup(5);
         let code = CodeId(1);
-        // AUTH before HELLO on the responder.
-        let bogus_auth = vec![false; WireConfig::from_params(&Params::table1()).auth_bits()];
+        // A genuine AUTH_A and AUTH_B from a completed run of the same
+        // identities, replayed ahead of their turn.
+        let (mut a0, mut b0) = setup(50);
+        let confirm0 = b0.on_hello(&a0.hello_frame(), code).unwrap();
+        let auth_a0 = a0.on_confirm(&confirm0, code).unwrap();
+        let (auth_b0, _) = b0.on_auth_a_cached(&auth_a0, &mut cache()).unwrap();
+        // AUTH_A before HELLO on the responder.
+        assert!(matches!(
+            b.on_auth_a_cached(&auth_a0, &mut cache()),
+            Err(HandshakeError::WrongState {
+                state: "await-hello"
+            })
+        ));
+        assert!(!b.is_done());
+        // AUTH_B before CONFIRM on the initiator.
+        assert!(matches!(
+            a.on_auth_b_cached(&auth_b0, &mut cache()),
+            Err(HandshakeError::WrongState {
+                state: "await-confirm"
+            })
+        ));
+        assert!(!a.is_done());
         let hello = a.hello_frame();
         let confirm = b.on_hello(&hello, code).unwrap();
         assert!(matches!(
@@ -763,7 +645,6 @@ mod tests {
             a.on_confirm(&confirm, code),
             Err(HandshakeError::WrongState { .. })
         ));
-        let _ = bogus_auth;
     }
 
     #[test]
@@ -773,17 +654,11 @@ mod tests {
         let wire = WireConfig::from_params(&params);
         let authority = Authority::from_seed(b"handshake");
         let mut rng = SimRng::seed_from_u64(6);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let mut b = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
-        let mut mallory = Responder::new(
+        let (mut a, mut b) = pair(&mut rng);
+        let mut mallory = Responder::new_with_format(
             authority.issue(NodeId(3)),
             wire,
+            WireFormat::Legacy,
             params.n_chips,
             64,
             &mut rng,
@@ -795,7 +670,7 @@ mod tests {
         // K_{A,Mallory} check fails, so she cannot even accept it.
         let _ = mallory.on_hello(&a.hello_frame(), code).unwrap();
         assert!(matches!(
-            mallory.on_auth_a(&auth_a),
+            mallory.on_auth_a_cached(&auth_a, &mut cache()),
             Err(HandshakeError::BadTag { claimed: NodeId(1) })
         ));
         // And a forged AUTH_B claiming a different identity than the one A
@@ -805,7 +680,7 @@ mod tests {
         let tag = auth_tag(&mallory_key.shared_key(NodeId(1)), NodeId(3), n_m);
         let forged = wire.encode_auth(NodeId(3), n_m, &tag).unwrap();
         assert!(matches!(
-            a.on_auth_b(&forged),
+            a.on_auth_b_cached(&forged, &mut cache()),
             Err(HandshakeError::PeerMismatch)
         ));
         assert!(!a.is_done());

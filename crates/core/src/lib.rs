@@ -81,7 +81,7 @@ pub use decode::DecodeError;
 pub use deployment::{Deployment, ProvisionedNode};
 pub use engine::{BatchEngine, EngineConfig, JamSpec, SessionKind, SessionOutcome, SessionSpec};
 pub use jammer::{Jammer, JammerKind};
-pub use network::{run_once, run_once_opt, ExperimentConfig, ResilienceConfig, RunResult};
+pub use network::{run_once, ExperimentConfig, ResilienceConfig, RunResult};
 pub use params::{Params, ParamsError};
 pub use predist::CodeAssignment;
 pub use scale::{run_scale, run_scale_many, ScaleConfig, ScalePerf};

@@ -340,31 +340,6 @@ pub fn closing_code_bank_cached(
         .collect()
 }
 
-/// Builds the closing-HELLO frame the responder spreads with `C_BA` to
-/// conclude an M-NDP discovery, in the given [`crate::wire::WireFormat`]:
-/// the same HELLO layout D-NDP broadcasts, carried here over the secret
-/// session code. On the packed wire the frame is identity-proportional
-/// (a small id costs 10 bits instead of the fixed legacy 21), shrinking
-/// the closing transmission's jamming exposure window.
-///
-/// # Errors
-///
-/// [`crate::messages::WireError::FieldOverflow`] when `id` exceeds the
-/// config's `l_id` bits.
-pub fn closing_hello_frame(
-    wire_cfg: &crate::messages::WireConfig,
-    format: crate::wire::WireFormat,
-    id: NodeId,
-) -> Result<Vec<bool>, crate::messages::WireError> {
-    use crate::messages::MessageKind;
-    match format {
-        crate::wire::WireFormat::Legacy => wire_cfg.encode_hello(MessageKind::Hello, id),
-        crate::wire::WireFormat::Packed => {
-            crate::wire::hello_frame_bools(wire_cfg, MessageKind::Hello, id)
-        }
-    }
-}
-
 /// Chip-level check of the closing HELLO (Section V-C, final step): the
 /// responder transmits `{HELLO}_{C_BA}` spread with the freshly derived
 /// session code, and the source listens with a *receiver bank* over every
@@ -375,7 +350,9 @@ pub fn closing_hello_frame(
 ///
 /// `hello_bits` is the frame content the source expects for this
 /// initiation (it derived the session key itself, so it knows the HELLO it
-/// is waiting for). Returns the index of the candidate code that decoded
+/// is waiting for): the D-NDP HELLO layout,
+/// [`WireFormat::encode_hello`](crate::wire::WireFormat::encode_hello) in
+/// the run's `params.wire_format`. Returns the index of the candidate code that decoded
 /// the HELLO cleanly, or `None` — e.g. when the responder is out of range
 /// (the caller models that by not transmitting, i.e. `amplitude == None`)
 /// or its code is not in the bank.
@@ -441,7 +418,7 @@ pub fn closing_hello_heard(
 /// responder encodes the frame through `codec` before spreading, and the
 /// source despreads each bank candidate into coded bits plus sub-threshold
 /// erasure flags, then ECC-decodes and matches against the expected frame.
-/// The shared [`FrameCodec`] scratch makes the per-candidate ECC work
+/// The shared [`FrameCodec`](crate::messages::FrameCodec) scratch makes the per-candidate ECC work
 /// allocation-free.
 ///
 /// Returns the index of the first candidate whose decode reproduces
@@ -799,13 +776,18 @@ mod tests {
 
     #[test]
     fn packed_closing_hello_is_shorter_and_still_heard() {
-        use crate::messages::{FrameCodec, WireConfig};
+        use crate::messages::{FrameCodec, MessageKind, WireConfig};
         use crate::wire::WireFormat;
         use jrsnd_dsss::code::SpreadCode;
         use rand::SeedableRng;
         let cfg = WireConfig::from_params(&crate::params::Params::default());
-        let legacy = closing_hello_frame(&cfg, WireFormat::Legacy, NodeId(5)).expect("id fits");
-        let packed = closing_hello_frame(&cfg, WireFormat::Packed, NodeId(5)).expect("id fits");
+        let closing_hello = |format: WireFormat| {
+            format
+                .encode_hello(&cfg, MessageKind::Hello, NodeId(5))
+                .expect("id fits")
+        };
+        let legacy = closing_hello(WireFormat::Legacy);
+        let packed = closing_hello(WireFormat::Packed);
         assert!(
             packed.len() < legacy.len(),
             "packed closing HELLO ({}) should beat legacy ({})",

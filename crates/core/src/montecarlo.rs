@@ -5,7 +5,7 @@
 //! different random seed"; [`run_many`] reproduces exactly that (the
 //! repetition count is configurable) using one worker thread per core.
 
-use crate::network::{run_once_opt, ExperimentConfig, ResilienceConfig, RunResult};
+use crate::network::{run_once, ExperimentConfig, RunResult};
 use crate::params::Params;
 use jrsnd_sim::stats::RunningStats;
 use jrsnd_sim::{metric_counter, metric_gauge, metric_histogram};
@@ -35,8 +35,8 @@ pub struct Aggregate {
     /// Per-run M-NDP epochs to fixpoint.
     pub epochs: RunningStats,
     /// Per-run fraction of physical pairs that exhausted their retry
-    /// budget under fault injection (always 0 without a
-    /// [`ResilienceConfig`]).
+    /// budget under fault injection (always 0 without
+    /// [`ExperimentConfig::resilience`]).
     pub degraded: RunningStats,
     /// Per-run mean D-NDP attempts per physical pair (1.0 when nothing
     /// retries).
@@ -178,7 +178,10 @@ pub struct RunPerf {
 /// scheduling. (An earlier version work-stole seeds with an atomic
 /// cursor and merged per-thread partials, which made the floating-point
 /// reduction grouping — and thus the low-order bits of mean/variance —
-/// depend on scheduling.)
+/// depend on scheduling.) The contract holds under
+/// [`ExperimentConfig::resilience`] too: fault decisions are pure
+/// functions of `(seed, pair, attempt)`, so the `degraded` and
+/// `retry_attempts` columns are as worker-count-independent as the rest.
 ///
 /// Worker count defaults to [`std::thread::available_parallelism`]; the
 /// `JRSND_THREADS` environment variable or [`run_many_with_threads`]
@@ -189,42 +192,6 @@ pub struct RunPerf {
 /// Panics if `reps == 0` or the parameters are invalid.
 pub fn run_many(config: &ExperimentConfig, reps: usize, base_seed: u64) -> Aggregate {
     run_many_instrumented(config, reps, base_seed, None).0
-}
-
-/// [`run_many`] under fault injection and per-pair retry budgets.
-///
-/// Inherits the full determinism contract: fault decisions are pure
-/// functions of `(seed, pair, attempt)` and the seed shards are static,
-/// so the aggregate — including the `degraded` and `retry_attempts`
-/// columns — is bitwise identical for any worker count.
-///
-/// # Panics
-///
-/// Panics if `reps == 0` or the parameters are invalid.
-pub fn run_many_resilient(
-    config: &ExperimentConfig,
-    resilience: &ResilienceConfig,
-    reps: usize,
-    base_seed: u64,
-) -> Aggregate {
-    run_many_resilient_with_threads(config, resilience, reps, base_seed, None)
-}
-
-/// [`run_many_resilient`] with an explicit worker-thread count (`None` =
-/// default resolution, as in [`run_many_with_threads`]).
-///
-/// # Panics
-///
-/// Panics if `reps == 0`, `threads == Some(0)`, or the parameters are
-/// invalid.
-pub fn run_many_resilient_with_threads(
-    config: &ExperimentConfig,
-    resilience: &ResilienceConfig,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> Aggregate {
-    run_many_inner(config, Some(resilience), reps, base_seed, threads).0
 }
 
 /// [`run_many`] with an explicit worker-thread count (`None` = default
@@ -248,36 +215,13 @@ pub fn run_many_with_threads(
 /// and records it into the global metrics registry
 /// (`montecarlo.*` counters/gauges and the `montecarlo.point_wall_s`
 /// histogram).
+///
+/// # Panics
+///
+/// Panics if `reps == 0`, `threads == Some(0)`, or the parameters are
+/// invalid.
 pub fn run_many_instrumented(
     config: &ExperimentConfig,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> (Aggregate, RunPerf) {
-    run_many_inner(config, None, reps, base_seed, threads)
-}
-
-/// Worker-thread count shared by every parallel driver: `explicit` if
-/// given, else a positive `JRSND_THREADS`, else available parallelism.
-/// Callers apply their own clamp.
-pub(crate) fn resolve_threads(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("JRSND_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&t| t > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-fn run_many_inner(
-    config: &ExperimentConfig,
-    resilience: Option<&ResilienceConfig>,
     reps: usize,
     base_seed: u64,
     threads: Option<usize>,
@@ -297,7 +241,7 @@ fn run_many_inner(
     if workers <= 1 {
         let t0 = Instant::now();
         for i in 0..reps {
-            results.push(Some(run_once_opt(config, resilience, base_seed + i as u64)));
+            results.push(Some(run_once(config, base_seed + i as u64)));
         }
         busy[0] = t0.elapsed().as_secs_f64();
     } else {
@@ -308,11 +252,7 @@ fn run_many_inner(
                 scope.spawn(move || {
                     let t0 = Instant::now();
                     for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(run_once_opt(
-                            config,
-                            resilience,
-                            base_seed + (offset + j) as u64,
-                        ));
+                        *slot = Some(run_once(config, base_seed + (offset + j) as u64));
                     }
                     *busy_w = t0.elapsed().as_secs_f64();
                 });
@@ -341,6 +281,24 @@ fn run_many_inner(
     metric_gauge!("montecarlo.utilization").set(perf.utilization);
     metric_gauge!("montecarlo.threads").set(perf.threads as f64);
     (agg, perf)
+}
+
+/// Worker-thread count shared by every parallel driver: `explicit` if
+/// given, else a positive `JRSND_THREADS`, else available parallelism.
+/// Callers apply their own clamp.
+pub(crate) fn resolve_threads(explicit: Option<usize>) -> usize {
+    explicit
+        .or_else(|| {
+            std::env::var("JRSND_THREADS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .filter(|&t| t > 0)
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// One point of a parameter sweep.
@@ -387,7 +345,7 @@ mod tests {
     use super::*;
     use crate::dndp::DndpConfig;
     use crate::jammer::JammerKind;
-    use crate::network::run_once;
+    use crate::network::ResilienceConfig;
 
     fn tiny_config() -> ExperimentConfig {
         let mut params = Params::table1();
@@ -401,6 +359,7 @@ mod tests {
             params,
             jammer: JammerKind::Reactive,
             dndp: DndpConfig::default(),
+            resilience: None,
         }
     }
 
@@ -484,13 +443,15 @@ mod tests {
 
     #[test]
     fn resilient_thread_count_does_not_change_the_aggregate() {
-        let cfg = tiny_config();
-        let res = ResilienceConfig::chaos(0.7, 2);
-        let reference = run_many_resilient_with_threads(&cfg, &res, 5, 8100, Some(1));
+        let cfg = ExperimentConfig {
+            resilience: Some(ResilienceConfig::chaos(0.7, 2)),
+            ..tiny_config()
+        };
+        let reference = run_many_with_threads(&cfg, 5, 8100, Some(1));
         assert!(reference.degraded.mean() > 0.0, "chaos plan never degraded");
         assert!(reference.retry_attempts.mean() > 1.0, "retries never fired");
         for threads in [2, 4] {
-            let agg = run_many_resilient_with_threads(&cfg, &res, 5, 8100, Some(threads));
+            let agg = run_many_with_threads(&cfg, 5, 8100, Some(threads));
             assert_eq!(
                 agg.to_json(),
                 reference.to_json(),
@@ -503,7 +464,11 @@ mod tests {
     fn resilient_none_matches_run_many_columns() {
         let cfg = tiny_config();
         let plain = run_many(&cfg, 4, 8200);
-        let res = run_many_resilient(&cfg, &ResilienceConfig::none(), 4, 8200);
+        let inert = ExperimentConfig {
+            resilience: Some(ResilienceConfig::none()),
+            ..tiny_config()
+        };
+        let res = run_many(&inert, 4, 8200);
         // No faults + single attempt draws the same RNG stream, so the
         // shared columns agree bitwise; the new columns sit at their
         // baselines.

@@ -28,6 +28,10 @@ pub struct ExperimentConfig {
     pub jammer: JammerKind,
     /// D-NDP protocol variant (redundancy ablation).
     pub dndp: DndpConfig,
+    /// Fault injection and per-pair retry budgets. `None` runs one plain
+    /// attempt per pair with no `retry.*`/`session.*` bookkeeping — the
+    /// paper's setting.
+    pub resilience: Option<ResilienceConfig>,
 }
 
 impl ExperimentConfig {
@@ -38,6 +42,7 @@ impl ExperimentConfig {
             params: Params::table1(),
             jammer: JammerKind::Reactive,
             dndp: DndpConfig::default(),
+            resilience: None,
         }
     }
 }
@@ -57,9 +62,10 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// No faults, no retries: [`run_once_opt`] with this config draws the
-    /// exact same RNG sequence as [`run_once`] only when `faults` is
-    /// `None` *and* the budget is one attempt.
+    /// No faults, no retries: a run under `Some(ResilienceConfig::none())`
+    /// draws the same RNG sequence and discovers the same pairs as one
+    /// under `resilience: None`, but books every attempt in the
+    /// `retry.*`/`session.*` counters.
     pub fn none() -> Self {
         ResilienceConfig {
             retry: RetryPolicy::none(),
@@ -104,8 +110,8 @@ pub struct RunResult {
     /// Per-discovery M-NDP latencies (Theorem 4 at the actual hop count).
     pub mndp_latency: RunningStats,
     /// Pairs whose whole retry budget was exhausted under fault
-    /// injection (partial discovery, not an abort). Zero without a
-    /// [`ResilienceConfig`].
+    /// injection (partial discovery, not an abort). Zero without
+    /// [`ExperimentConfig::resilience`].
     pub degraded_pairs: usize,
     /// Total D-NDP attempts spent across all pairs (equals
     /// `physical_pairs` when nothing retries).
@@ -169,31 +175,18 @@ impl RunResult {
 
 /// Runs one seeded network instance.
 ///
+/// Under `config.resilience`, every physical pair runs
+/// [`dndp::simulate_pair_resilient`] under a [`FaultInjector`] seeded
+/// from the run seed; pairs that exhaust the budget degrade to
+/// "undiscovered" and are counted in [`RunResult::degraded_pairs`] — the
+/// run always completes.
+///
 /// # Panics
 ///
 /// Panics if the configuration's parameters fail validation.
 pub fn run_once(config: &ExperimentConfig, seed: u64) -> RunResult {
-    run_once_opt(config, None, seed)
-}
-
-/// [`run_once`] with optional fault injection and per-pair retry budgets.
-///
-/// With `resilience: None` this draws the exact same RNG sequence as
-/// [`run_once`] and returns an identical result. With `Some`, every
-/// physical pair runs [`dndp::simulate_pair_resilient`] under a
-/// [`FaultInjector`] seeded from the run seed; pairs that exhaust the
-/// budget degrade to "undiscovered" and are counted in
-/// [`RunResult::degraded_pairs`] — the run always completes.
-///
-/// # Panics
-///
-/// Panics if the configuration's parameters fail validation.
-pub fn run_once_opt(
-    config: &ExperimentConfig,
-    resilience: Option<&ResilienceConfig>,
-    seed: u64,
-) -> RunResult {
     let params = &config.params;
+    let resilience = config.resilience;
     params.validate().expect("invalid parameters");
     let root = SimRng::seed_from_u64(seed);
 
@@ -214,7 +207,7 @@ pub fn run_once_opt(
     let compromised_codes = assignment.compromised_codes(&compromised_nodes);
     let jammer = Jammer::new(config.jammer, compromised_codes, params);
 
-    // 3. D-NDP on every physical pair. Under a ResilienceConfig, each
+    // 3. D-NDP on every physical pair. Under a resilience config, each
     //    pair gets a fault stream keyed by its enumeration index —
     //    stable across worker counts because edge order is.
     let mut protocol_rng = root.fork("dndp", 0);
@@ -240,16 +233,15 @@ pub fn run_once_opt(
                     &shared,
                     &jammer,
                     config.dndp,
-                    injector.as_ref(),
                     &res.retry,
-                    pair_index as u64,
+                    injector.as_ref().map(|inj| (inj, pair_index as u64)),
                     &mut protocol_rng,
                 );
                 retry_attempts += u64::from(r.attempts);
                 // "Degraded" means the resilience machinery was in play
                 // and the pair still failed — a plain jammed pair under
                 // ResilienceConfig::none() is just undiscovered, keeping
-                // that config's results identical to run_once's.
+                // that config's results identical to `resilience: None`.
                 if r.degraded && (res.retry.retries() || injector.is_some()) {
                     degraded_pairs += 1;
                 }
@@ -339,6 +331,14 @@ mod tests {
             params,
             jammer: JammerKind::Reactive,
             dndp: DndpConfig::default(),
+            resilience: None,
+        }
+    }
+
+    fn with_resilience(res: ResilienceConfig) -> ExperimentConfig {
+        ExperimentConfig {
+            resilience: Some(res),
+            ..small_config()
         }
     }
 
@@ -432,24 +432,24 @@ mod tests {
     }
 
     #[test]
-    fn run_once_opt_without_resilience_is_run_once() {
-        let cfg = small_config();
-        let a = run_once(&cfg, 55);
-        let b = run_once_opt(&cfg, None, 55);
+    fn inert_resilience_matches_no_resilience() {
+        let a = run_once(&small_config(), 55);
+        let b = run_once(&with_resilience(ResilienceConfig::none()), 55);
         assert_eq!(a.physical_pairs, b.physical_pairs);
         assert_eq!(a.dndp_pairs, b.dndp_pairs);
         assert_eq!(a.mndp_pairs, b.mndp_pairs);
         assert_eq!(a.dndp_latency.mean(), b.dndp_latency.mean());
-        assert_eq!(b.degraded_pairs, 0);
-        assert_eq!(b.retry_attempts, b.physical_pairs as u64);
+        for r in [&a, &b] {
+            assert_eq!(r.degraded_pairs, 0);
+            assert_eq!(r.retry_attempts, r.physical_pairs as u64);
+        }
     }
 
     #[test]
     fn chaos_runs_are_deterministic_and_degrade_gracefully() {
-        let cfg = small_config();
-        let res = ResilienceConfig::chaos(0.8, 2);
-        let a = run_once_opt(&cfg, Some(&res), 77);
-        let b = run_once_opt(&cfg, Some(&res), 77);
+        let cfg = with_resilience(ResilienceConfig::chaos(0.8, 2));
+        let a = run_once(&cfg, 77);
+        let b = run_once(&cfg, 77);
         assert_eq!(a.dndp_pairs, b.dndp_pairs);
         assert_eq!(a.degraded_pairs, b.degraded_pairs);
         assert_eq!(a.retry_attempts, b.retry_attempts);
@@ -459,15 +459,14 @@ mod tests {
         assert!(a.degraded_pairs > 0, "intensity 0.8 never degraded a pair");
         assert!(a.retry_attempts > a.physical_pairs as u64);
         assert_eq!(a.dndp_pairs + a.degraded_pairs, a.physical_pairs);
-        let clean = run_once(&cfg, 77);
+        let clean = run_once(&small_config(), 77);
         assert!(a.dndp_pairs < clean.dndp_pairs);
     }
 
     #[test]
     fn retries_claw_back_discovery_lost_to_faults() {
-        let cfg = small_config();
-        let no_retry = run_once_opt(&cfg, Some(&ResilienceConfig::chaos(0.6, 0)), 88);
-        let budgeted = run_once_opt(&cfg, Some(&ResilienceConfig::chaos(0.6, 4)), 88);
+        let no_retry = run_once(&with_resilience(ResilienceConfig::chaos(0.6, 0)), 88);
+        let budgeted = run_once(&with_resilience(ResilienceConfig::chaos(0.6, 4)), 88);
         assert!(
             budgeted.dndp_pairs > no_retry.dndp_pairs,
             "budget 4 ({}) should beat budget 0 ({})",

@@ -8,6 +8,7 @@
 //! expected degree `g` — are computed here so the analysis, the simulator,
 //! and the benches can never drift apart.
 
+use crate::wire::WireFormat;
 use jrsnd_dsss::timing::Schedule;
 use jrsnd_sim::geom::Field;
 use serde::{Deserialize, Serialize};
@@ -160,6 +161,11 @@ pub struct Params {
     /// Revocation threshold `γ` (invalid requests per code before local
     /// revocation, Section V-D).
     pub gamma: u32,
+    /// The codec that frames every message from the `l_*` widths above:
+    /// the paper's fixed-width layout, or the packed varint/TLV format of
+    /// [`crate::wire`]. Every driver (endpoints, chip link, batch engine,
+    /// D-NDP airtime accounting) reads it from here.
+    pub wire_format: WireFormat,
 }
 
 impl Params {
@@ -190,6 +196,7 @@ impl Params {
             field_h: 5000.0,
             range: 300.0,
             gamma: 5,
+            wire_format: WireFormat::Legacy,
         }
     }
 

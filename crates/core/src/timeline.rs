@@ -10,7 +10,7 @@
 //! re-discovery — producing the operational metrics (coverage over time,
 //! time-to-coverage, re-discovery delay) a deployment would care about.
 
-use crate::dndp;
+use crate::dndp::{self, DndpConfig};
 use crate::jammer::{Jammer, JammerKind};
 use crate::params::Params;
 use crate::predist::CodeAssignment;
@@ -206,7 +206,13 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
                         continue;
                     }
                     let shared = assignment.shared_codes(node, v);
-                    let out = dndp::simulate_pair(params, &shared, &jammer, &mut protocol_rng);
+                    let out = dndp::simulate_pair_with(
+                        params,
+                        &shared,
+                        &jammer,
+                        DndpConfig::default(),
+                        &mut protocol_rng,
+                    );
                     if out.discovered {
                         logical.add_edge(node, v);
                         metrics.discoveries += 1;

@@ -51,23 +51,29 @@
 //! CI regenerates and diffs them so the format cannot drift silently.
 //!
 //! The legacy codec stays fully supported (see
-//! [`crate::messages::reference`]) and remains the default everywhere;
-//! the packed format is opt-in per driver via [`WireFormat`]. Proptest
-//! equivalence ties the two together: any message round-trips through
-//! both codecs to the identical decoded structure.
+//! [`crate::messages::reference`]) and remains the default everywhere.
+//! Which codec a run speaks is one parameter,
+//! [`Params::wire_format`](crate::params::Params::wire_format), read by
+//! every driver; the [`WireFormat`] methods are the only place that
+//! dispatches on it. Proptest equivalence ties the two codecs together:
+//! any message round-trips through both to the identical decoded
+//! structure.
 
-use crate::messages::{ChainEntry, MessageKind, MndpRequest, MndpResponse, WireConfig, WireError};
+use crate::messages::{
+    ChainEntry, FrameCodec, MessageKind, MndpRequest, MndpResponse, WireConfig, WireError,
+};
 use jrsnd_crypto::ibc::{IbSignature, NodeId};
 use jrsnd_crypto::mac::AuthTag;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_sim::metric_counter;
 
-/// Which wire codec a driver runs its frames through.
+/// Which wire codec a run's frames go through, set once per parameter
+/// set as [`Params::wire_format`](crate::params::Params::wire_format).
 ///
 /// `Legacy` is the default everywhere — every existing experiment output
 /// is byte-identical to before the packed format existed. `Packed`
-/// switches the whole datapath (endpoints, chip driver, batch engine) to
-/// this module's format.
+/// switches the whole datapath (endpoints, chip driver, batch engine,
+/// D-NDP airtime accounting) to this module's format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// The fixed-width MSB-first `Vec<bool>` codec in [`crate::messages`].
@@ -75,6 +81,128 @@ pub enum WireFormat {
     Legacy,
     /// The packed varint/TLV format defined by this module.
     Packed,
+}
+
+impl WireFormat {
+    /// Encodes a HELLO/CONFIRM frame as the bits the radio layer spreads.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FieldOverflow`] when `id` exceeds `l_id` bits.
+    pub fn encode_hello(
+        self,
+        cfg: &WireConfig,
+        kind: MessageKind,
+        id: NodeId,
+    ) -> Result<Vec<bool>, WireError> {
+        match self {
+            WireFormat::Legacy => cfg.encode_hello(kind, id),
+            WireFormat::Packed => hello_frame_bools(cfg, kind, id),
+        }
+    }
+
+    /// [`WireFormat::encode_hello`] into a pooled `out`; the packed frame
+    /// goes through the codec's wire scratch, so a warm packed encode
+    /// allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireFormat::encode_hello`].
+    pub fn encode_hello_into(
+        self,
+        codec: &mut FrameCodec,
+        cfg: &WireConfig,
+        kind: MessageKind,
+        id: NodeId,
+        out: &mut Vec<bool>,
+    ) -> Result<(), WireError> {
+        match self {
+            WireFormat::Legacy => {
+                *out = cfg.encode_hello(kind, id)?;
+                Ok(())
+            }
+            WireFormat::Packed => codec.hello_packed(cfg, kind, id, out),
+        }
+    }
+
+    /// Parses a HELLO/CONFIRM frame.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncation, an unknown kind, or an oversized id.
+    pub fn parse_hello(
+        self,
+        cfg: &WireConfig,
+        bits: &[bool],
+    ) -> Result<(MessageKind, NodeId), WireError> {
+        match self {
+            WireFormat::Legacy => cfg.decode_hello(bits),
+            WireFormat::Packed => parse_hello_bools(cfg, bits),
+        }
+    }
+
+    /// HELLO/CONFIRM frame size in bits, before ECC.
+    pub fn hello_bits(self, cfg: &WireConfig, kind: MessageKind, id: NodeId) -> usize {
+        match self {
+            WireFormat::Legacy => cfg.hello_bits(),
+            WireFormat::Packed => packed_hello_bits(cfg, kind, id),
+        }
+    }
+
+    /// Encodes an AUTH_A/AUTH_B frame `{ID, n, f_K(ID|n)}`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FieldOverflow`] on oversized fields (and, packed,
+    /// `l_mac > 64`).
+    pub fn encode_auth(
+        self,
+        cfg: &WireConfig,
+        id: NodeId,
+        nonce: Nonce,
+        tag: &AuthTag,
+    ) -> Result<Vec<bool>, WireError> {
+        match self {
+            WireFormat::Legacy => cfg.encode_auth(id, nonce, tag),
+            WireFormat::Packed => auth_frame_bools(cfg, id, nonce, tag),
+        }
+    }
+
+    /// Parses an AUTH frame into `(ID, n, received MAC)`.
+    pub(crate) fn parse_auth(
+        self,
+        cfg: &WireConfig,
+        bits: &[bool],
+    ) -> Result<(NodeId, Nonce, ParsedMac), WireError> {
+        match self {
+            WireFormat::Legacy => cfg
+                .decode_auth(bits)
+                .map(|(id, n, tag_bits)| (id, n, ParsedMac::Legacy(tag_bits))),
+            WireFormat::Packed => {
+                parse_auth_bools(cfg, bits).map(|(id, n, mac)| (id, n, ParsedMac::Packed(mac)))
+            }
+        }
+    }
+}
+
+/// A received MAC in whichever representation its wire format parses it
+/// to: the legacy codec yields the truncated tag as bits, the packed codec
+/// as a single integer.
+pub(crate) enum ParsedMac {
+    Legacy(Vec<bool>),
+    Packed(u64),
+}
+
+impl ParsedMac {
+    /// Whether the received MAC matches the locally computed tag. The
+    /// packed side is an integer compare against the identical truncated
+    /// bit pattern (see [`truncated_tag_value`]).
+    pub(crate) fn matches(&self, cfg: &WireConfig, local: &AuthTag) -> bool {
+        match self {
+            ParsedMac::Legacy(bits) => cfg.tag_matches(bits, local),
+            ParsedMac::Packed(mac) => truncated_tag_value(cfg, local).is_ok_and(|v| v == *mac),
+        }
+    }
 }
 
 /// Largest stack-parsed frame in bits: HELLO/CONFIRM/AUTH frames are all

@@ -222,7 +222,6 @@ fn warm_packed_wire_datapath_makes_zero_allocations() {
     )
     .expect("auth frame encodes");
 
-    #[allow(clippy::too_many_arguments)]
     fn packed_pass(
         w: &WireConfig,
         codec: &mut FrameCodec,

@@ -129,8 +129,7 @@ proptest! {
         };
         let want = reference::run_sessions(&params, &authority, &pool, &retry, &specs);
         for threads in [1usize, 2] {
-            let config =
-                EngineConfig { chunk, shards, retry, threads: Some(threads), ..EngineConfig::default() };
+            let config = EngineConfig { chunk, shards, retry, threads: Some(threads) };
             let engine = BatchEngine::new(&params, &authority, &pool, config);
             let got = engine.run(&specs);
             prop_assert_eq!(&got, &want, "threads = {}", threads);
@@ -317,14 +316,12 @@ fn chip_level_outcomes_match_recorded_digests() {
     use jrsnd::chiplink::Stage;
     use jrsnd::wire::WireFormat;
 
-    let mut params = Params::table1();
-    params.n_chips = 256;
-    params.tau = 0.30;
+    let legacy = chip_params();
     let authority = Authority::from_seed(b"engine");
     let pool: Vec<SpreadCode> = {
         let mut rng = StdRng::seed_from_u64(11);
         (0..8)
-            .map(|_| SpreadCode::random(params.n_chips, &mut rng))
+            .map(|_| SpreadCode::random(legacy.n_chips, &mut rng))
             .collect()
     };
     let specs = golden_specs();
@@ -352,6 +349,10 @@ fn chip_level_outcomes_match_recorded_digests() {
         ),
     ];
     for (format, retry, recorded) in cases {
+        let params = Params {
+            wire_format: format,
+            ..legacy.clone()
+        };
         let engine = BatchEngine::new(
             &params,
             &authority,
@@ -361,11 +362,10 @@ fn chip_level_outcomes_match_recorded_digests() {
                 shards: 3,
                 retry,
                 threads: Some(1),
-                format,
             },
         );
         let got = engine.run(&specs);
-        let want = reference::run_sessions_fmt(&params, &authority, &pool, &retry, &specs, format);
+        let want = reference::run_sessions(&params, &authority, &pool, &retry, &specs);
         let digest =
             |outs: &[jrsnd::engine::SessionOutcome]| outs.iter().fold(FNV_OFFSET, digest_outcome);
         let stages: Vec<Stage> = got[4..7].iter().map(|o| o.report.stage).collect();
@@ -388,10 +388,13 @@ fn chip_level_outcomes_match_recorded_digests() {
         (WireFormat::Legacy, 0xe713_89a1_5db1_5ba1u64),
         (WireFormat::Packed, 0x11cc_6f5c_60dc_a761),
     ] {
+        let params = Params {
+            wire_format: format,
+            ..legacy.clone()
+        };
         let options = LinkOptions {
             retry: RetryPolicy::budgeted(3),
             faults: Some(faults),
-            format,
         };
         let mut pools = LinkPools::new(&params);
         let mut h = FNV_OFFSET;

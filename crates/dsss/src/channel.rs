@@ -14,7 +14,7 @@
 //! and expands them with the same branchless sign-select as
 //! [`ChipSeq::dot_levels`], and ambient noise is drawn from one SplitMix64
 //! stream per 64-chip block instead of one full hash per chip. The original
-//! chip-at-a-time loop survives verbatim in [`reference`] as the
+//! chip-at-a-time loop survives verbatim in [`reference`](mod@reference) as the
 //! correctness oracle; proptests assert the two render byte-identical
 //! samples, noise included, across arbitrary window boundaries.
 

@@ -61,7 +61,7 @@ fn add_levels_sse41(out: &mut [i32], chips: &ChipSeq, rel: usize, amp: i32) {
     add_levels_body(out, chips, rel, amp)
 }
 
-/// [`add_levels_body`] compiled for an explicit `level`, clamped to the
+/// The `add_levels_body` kernel compiled for an explicit `level`, clamped to the
 /// host's capability. Exposed for the kernel-equivalence tests.
 #[inline]
 pub fn add_levels_at(level: SimdLevel, out: &mut [i32], chips: &ChipSeq, rel: usize, amp: i32) {

@@ -25,6 +25,7 @@ fn scenario(q: usize, jammer: JammerKind, dndp: DndpConfig) -> ExperimentConfig 
         params,
         jammer,
         dndp,
+        resilience: None,
     }
 }
 
@@ -61,12 +62,10 @@ fn main() {
     let attack_redundant = DndpConfig {
         redundancy: true,
         tail_only_attack: true,
-        ..DndpConfig::default()
     };
     let attack_strawman = DndpConfig {
         redundancy: false,
         tail_only_attack: true,
-        ..DndpConfig::default()
     };
     println!(
         "{:>4}  {:>22} {:>22}",

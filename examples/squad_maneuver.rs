@@ -11,7 +11,7 @@
 //! cargo run --release --example squad_maneuver
 //! ```
 
-use jr_snd::core::dndp;
+use jr_snd::core::dndp::{self, DndpConfig};
 use jr_snd::core::jammer::{Jammer, JammerKind};
 use jr_snd::core::multiantenna;
 use jr_snd::core::params::Params;
@@ -80,7 +80,13 @@ fn main() {
                 inter += 1;
             }
             let shared = assignment.shared_codes(u, v);
-            let out = dndp::simulate_pair(&params, &shared, &jammer, &mut protocol_rng);
+            let out = dndp::simulate_pair_with(
+                &params,
+                &shared,
+                &jammer,
+                DndpConfig::default(),
+                &mut protocol_rng,
+            );
             if out.discovered {
                 found += 1;
                 if let Some(t) = out.latency {

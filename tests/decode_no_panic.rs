@@ -11,9 +11,10 @@ use jr_snd::core::handshake::{Initiator, Responder};
 use jr_snd::core::messages::{BitReader, FrameCodec, WireConfig};
 use jr_snd::core::mndp::{closing_hello_heard, closing_hello_heard_coded};
 use jr_snd::core::params::Params;
+use jr_snd::core::wire::WireFormat;
 use jr_snd::crypto::ibc::{Authority, NodeId};
 use jr_snd::crypto::nonce::Nonce;
-use jr_snd::crypto::session::try_derive_session_code;
+use jr_snd::crypto::session::{try_derive_session_code, SessionCodeCache};
 use jr_snd::dsss::code::{CodeId, SpreadCode};
 use jr_snd::ecc::expand::ExpansionCode;
 use jr_snd::sim::rng::SimRng;
@@ -84,22 +85,27 @@ proptest! {
         let authority = Authority::from_seed(b"decode-no-panic");
         let w = wire();
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), w, 64, &mut rng);
-        let mut b = Responder::new(authority.issue(NodeId(2)), w, 64, 8, &mut rng);
+        let legacy = WireFormat::Legacy;
+        let mut cache = SessionCodeCache::new(8);
+        let mut a = Initiator::new_with_format(authority.issue(NodeId(1)), w, legacy, 64, &mut rng);
+        let mut b =
+            Responder::new_with_format(authority.issue(NodeId(2)), w, legacy, 64, 8, &mut rng);
         // Feed garbage at every state the machines can reach: the typed
         // HandshakeError path must absorb it all.
         let _ = a.on_confirm(&frame1, CodeId(3));
-        let _ = a.on_auth_b(&frame2);
+        let _ = a.on_auth_b_cached(&frame2, &mut cache);
         let _ = b.on_hello(&frame1, CodeId(3));
-        let _ = b.on_auth_a(&frame2);
+        let _ = b.on_auth_a_cached(&frame2, &mut cache);
         // And again after a real HELLO moved the responder forward.
-        let mut a2 = Initiator::new(authority.issue(NodeId(1)), w, 64, &mut rng);
-        let mut b2 = Responder::new(authority.issue(NodeId(2)), w, 64, 8, &mut rng);
+        let mut a2 =
+            Initiator::new_with_format(authority.issue(NodeId(1)), w, legacy, 64, &mut rng);
+        let mut b2 =
+            Responder::new_with_format(authority.issue(NodeId(2)), w, legacy, 64, 8, &mut rng);
         if let Ok(confirm) = b2.on_hello(&a2.hello_frame(), CodeId(3)) {
             let _ = a2.on_confirm(&frame1, CodeId(3));
-            let _ = b2.on_auth_a(&frame2);
+            let _ = b2.on_auth_a_cached(&frame2, &mut cache);
             let _ = a2.on_confirm(&confirm, CodeId(3));
-            let _ = b2.on_auth_a(&frame1);
+            let _ = b2.on_auth_a_cached(&frame1, &mut cache);
         }
     }
 

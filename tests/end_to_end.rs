@@ -21,6 +21,7 @@ fn base() -> ExperimentConfig {
         params,
         jammer: JammerKind::Reactive,
         dndp: DndpConfig::default(),
+        resilience: None,
     }
 }
 

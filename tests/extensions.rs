@@ -32,6 +32,7 @@ fn lifecycle_coverage_beats_single_snapshot_discovery() {
             params: params.clone(),
             jammer: JammerKind::Reactive,
             dndp: Default::default(),
+            resilience: None,
         },
         4,
         5,
@@ -64,6 +65,7 @@ fn multiantenna_equivalent_m_beats_baseline_in_simulation() {
         params: p,
         jammer: JammerKind::Reactive,
         dndp: Default::default(),
+        resilience: None,
     };
     let before = run_many(&cfg(base.clone()), 4, 9);
     let after = run_many(&cfg(upgraded.clone()), 4, 9);
@@ -104,6 +106,7 @@ fn jammer_strategy_ordering_holds_in_simulation() {
                 params: params.clone(),
                 jammer: kind,
                 dndp: Default::default(),
+                resilience: None,
             },
             4,
             21,

@@ -24,6 +24,7 @@ fn config(q: usize, jammer: JammerKind) -> ExperimentConfig {
         params,
         jammer,
         dndp: DndpConfig::default(),
+        resilience: None,
     }
 }
 
