@@ -9,7 +9,8 @@ use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
 use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_dsss::spread::{
-    correlate_window, despread_from_channel, despread_levels, reference as spread_reference, spread,
+    correlate_window, despread_from_channel, despread_levels, reference as spread_reference,
+    spread, spread_into,
 };
 use jrsnd_dsss::sync::{reference as sync_reference, scan, scan_all};
 use rand::{Rng, SeedableRng};
@@ -48,8 +49,17 @@ fn bench_spread_despread(c: &mut Criterion) {
     let msg: Vec<bool> = (0..42).map(|i| i % 2 == 0).collect(); // one l_h HELLO
     let levels = spread(&msg, &code).to_levels();
     let mut group = c.benchmark_group("spread");
-    group.bench_function("spread_hello_42bits_n512", |b| {
-        b.iter(|| black_box(spread(&msg, &code)))
+    // Word-level spreading into reused chip storage (the exchange path's
+    // `transmit_spread`) against the bool-at-a-time oracle.
+    group.bench_function("fast/hello_42bits_n512", |b| {
+        let mut chips = spread(&msg, &code);
+        b.iter(|| {
+            spread_into(&msg, &code, &mut chips);
+            black_box(chips.words().last().copied())
+        })
+    });
+    group.bench_function("reference/hello_42bits_n512", |b| {
+        b.iter(|| black_box(spread_reference::spread(&msg, &code)))
     });
     group.bench_function("despread_hello_42bits_n512", |b| {
         b.iter(|| black_box(despread_levels(&levels, &code, 0.15)))
@@ -214,8 +224,9 @@ fn bench_channel_render(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused render→despread against materialise-then-despread: same decisions,
-/// but the fused path touches one n-chip scratch window per bit period.
+/// Chip-domain despreading straight off the medium
+/// (`despread_from_channel`: XOR + popcount per transmission and noise
+/// block, no samples) against materialise-then-despread: same decisions.
 fn bench_fused_despread(c: &mut Criterion) {
     let (chan, window) = busy_channel(512);
     // Same seed as busy_channel: this is the code of the frame at chip 0.
@@ -224,10 +235,10 @@ fn bench_fused_despread(c: &mut Criterion) {
     let n_bits = window / 512;
     let mut group = c.benchmark_group("fused_despread");
     group.throughput(Throughput::Elements(window as u64));
-    group.bench_function("fused_16bits_n512", |b| {
+    group.bench_function("fast/16bits_n512", |b| {
         b.iter(|| black_box(despread_from_channel(&chan, 0, &code, n_bits, 0.15)))
     });
-    group.bench_function("materialised_16bits_n512", |b| {
+    group.bench_function("reference/16bits_n512", |b| {
         b.iter(|| {
             let samples = chan.render(0, window);
             black_box(despread_levels(&samples, &code, 0.15))

@@ -26,7 +26,7 @@ use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
 use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
-use jrsnd_dsss::spread::{despread_from_channel, spread};
+use jrsnd_dsss::spread::despread_from_channel_into;
 use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
 use jrsnd_sim::faults::FaultInjector;
 use jrsnd_sim::retry::RetryPolicy;
@@ -405,11 +405,7 @@ impl Link {
         let n = a_codes[0].len();
         let msg_chips = (pools.coded.len() * n) as u64;
         for (copy, code) in a_codes.iter().enumerate() {
-            channel.transmit(
-                base + copy as u64 * msg_chips,
-                spread(&pools.coded, code),
-                1,
-            );
+            channel.transmit_spread(base + copy as u64 * msg_chips, &pools.coded, code, 1);
         }
         if let Some(j) = jammer.filter(|j| j.attacks(0)) {
             for copy in 0..a_codes.len() {
@@ -488,7 +484,7 @@ impl Link {
     /// One exchange of the pending message (CONFIRM, AUTH_A, or AUTH_B)
     /// on `medium` at its cursor: ECC-encode, spread with the shared
     /// `code`, let the jammer (if it attacks this message) cover the tail,
-    /// despread through the fused render→despread path, ECC-decode, and
+    /// despread in the chip domain into the pooled frame, ECC-decode, and
     /// hand the bits to the receiving endpoint.
     ///
     /// Returns the attempt's final report once it completes or fails,
@@ -506,9 +502,7 @@ impl Link {
             .expect("non-empty message");
         let n = code.len();
         let start = medium.cursor;
-        medium
-            .channel
-            .transmit(start, spread(&pools.coded, code), 1);
+        medium.channel.transmit_spread(start, &pools.coded, code, 1);
         if let Some(j) = jammer.filter(|j| j.attacks(self.message)) {
             let coded_len = pools.coded.len();
             self.jam_tail(
@@ -521,14 +515,24 @@ impl Link {
             );
         }
         // The receiver is bit-synchronized to its own frame, so each bit
-        // window is rendered straight into the correlator without
-        // materialising the full sample vector.
-        let (bits, erased) =
-            despread_from_channel(&medium.channel, start, code, pools.coded.len(), self.tau);
+        // period is correlated against the medium's chips directly.
+        despread_from_channel_into(
+            &medium.channel,
+            start,
+            code,
+            pools.coded.len(),
+            self.tau,
+            &mut pools.frame,
+        );
         medium.advance((pools.coded.len() * n) as u64);
         let received = pools
             .codec
-            .decode_into(&bits, &erased, self.pending.len(), &mut pools.decoded)
+            .decode_into(
+                &pools.frame.bits,
+                &pools.frame.erased,
+                self.pending.len(),
+                &mut pools.decoded,
+            )
             .is_ok();
         if received {
             metric_counter!("dsss.frames_decoded").inc();
@@ -595,9 +599,10 @@ impl Link {
         garbage.clear();
         garbage.extend((0..jam_bits).map(|_| self.rng.gen::<bool>()));
         record_jam(start_bit, jam_bits, n, self.chip_rate);
-        channel.transmit(
+        channel.transmit_spread(
             start + (start_bit * n) as u64,
-            spread(garbage, &j.code),
+            garbage,
+            &j.code,
             j.amplitude,
         );
     }
@@ -661,7 +666,7 @@ pub struct ResilientHandshakeReport {
 /// # Panics
 ///
 /// Panics if the code sets are empty, a shared index is out of range, or
-/// the jammer's `fraction` lies outside `[0, 1]`.
+/// the jammer's `fraction` lies outside `[0, 1]` or its `amplitude` is 0.
 pub fn run_link(
     params: &Params,
     authority: &Authority,
@@ -679,6 +684,7 @@ pub fn run_link(
             (0.0..=1.0).contains(&j.fraction),
             "jam fraction must lie in [0, 1]"
         );
+        assert!(j.amplitude != 0, "jam amplitude must be nonzero");
     }
     debug_assert_eq!(
         pools.codec.code().mu(),
@@ -1063,6 +1069,16 @@ mod tests {
     fn jam_fraction_above_one_is_rejected() {
         let s = setup(15);
         let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 1.5, 3);
+        s.run(Some(&jammer), 104);
+    }
+
+    #[test]
+    #[should_panic(expected = "jam amplitude must be nonzero")]
+    fn zero_jam_amplitude_is_rejected() {
+        let s = setup(15);
+        // A fraction of 0.01 rounds to zero jam bits, so the jammer would
+        // never transmit; the spec is rejected all the same.
+        let jammer = ChipJammer::from_start(s.a_codes[1].clone(), 0.01, 0);
         s.run(Some(&jammer), 104);
     }
 

@@ -361,6 +361,7 @@ impl<'p> BatchEngine<'p> {
                 (0.0..=1.0).contains(&j.fraction),
                 "jam fraction must lie in [0, 1]"
             );
+            assert!(j.amplitude != 0, "jam amplitude must be nonzero");
         }
         if let SessionKind::MultiHop {
             relay_a_codes,
@@ -381,7 +382,8 @@ impl<'p> BatchEngine<'p> {
     /// # Panics
     ///
     /// Panics if any spec references a pool or shared index out of range,
-    /// or a jammer's `fraction` lies outside `[0, 1]`.
+    /// or a jammer's `fraction` lies outside `[0, 1]` or its `amplitude`
+    /// is 0.
     pub fn run(&self, specs: &[SessionSpec]) -> Vec<SessionOutcome> {
         if specs.is_empty() {
             return Vec::new();
@@ -803,6 +805,22 @@ mod tests {
         let mut spec = mixed_specs().swap_remove(1);
         spec.jammer.as_mut().expect("jammed spec").fraction = 1.5;
         BatchEngine::new(&params, &authority, &pool, EngineConfig::default()).run(&[spec]);
+    }
+
+    #[test]
+    #[should_panic(expected = "jam amplitude must be nonzero")]
+    fn zero_jam_amplitude_is_rejected() {
+        let params = chip_params();
+        let authority = Authority::from_seed(b"engine");
+        let pool = pool(11, 8, params.n_chips);
+        let mut spec = mixed_specs().swap_remove(1);
+        spec.jammer.as_mut().expect("jammed spec").amplitude = 0;
+        // Two workers: the check must fire up front, not inside a worker.
+        let config = EngineConfig {
+            threads: Some(2),
+            ..EngineConfig::default()
+        };
+        BatchEngine::new(&params, &authority, &pool, config).run(&[spec.clone(), spec]);
     }
 
     #[test]

@@ -26,7 +26,10 @@ use jrsnd_crypto::ibc::{NodeId, SharedKey};
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::prf::PrfScratch;
 use jrsnd_crypto::session::{derive_session_codes, SessionCodeCache};
+use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::SpreadCode;
+use jrsnd_dsss::spread::{decide, despread_from_channel_into};
+use jrsnd_dsss::sync::Frame;
 use jrsnd_sim::geom::Point;
 use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_histogram, sim_trace};
@@ -344,9 +347,8 @@ pub fn closing_code_bank_cached(
 /// responder transmits `{HELLO}_{C_BA}` spread with the freshly derived
 /// session code, and the source listens with a *receiver bank* over every
 /// outstanding session code (one per pending M-NDP response), despreading
-/// through the fused render→despread path — each bit window is rendered
-/// once and correlated against the whole bank, never materialising the
-/// full sample vector.
+/// each candidate bit period by [`ChipChannel::correlate`] — straight off
+/// the medium's chips, with no sample ever rendered.
 ///
 /// `hello_bits` is the frame content the source expects for this
 /// initiation (it derived the session key itself, so it knows the HELLO it
@@ -364,53 +366,60 @@ pub fn closing_code_bank_cached(
 /// length differs from the bank's — both are attacker-reachable shapes
 /// (a corrupted response can carry any nonce material), so they must not
 /// panic.
+///
+/// # Panics
+///
+/// Panics if the candidates do not share one chip length.
 pub fn closing_hello_heard(
     hello_bits: &[bool],
-    session_code: &jrsnd_dsss::code::SpreadCode,
-    candidates: &[&jrsnd_dsss::code::SpreadCode],
+    session_code: &SpreadCode,
+    candidates: &[&SpreadCode],
     amplitude: Option<i32>,
     noise: f64,
     noise_seed: u64,
     tau: f64,
 ) -> Result<Option<usize>, DecodeError> {
-    use jrsnd_dsss::channel::ChipChannel;
-    use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-    use jrsnd_dsss::spread::{decide, spread};
-
     if hello_bits.is_empty() || candidates.is_empty() {
         return Err(DecodeError::EmptyFrame);
     }
-    let bank = MultiCorrelator::new(candidates);
-    let n = bank.code_len();
-    if session_code.len() != n {
-        return Err(DecodeError::CodeLengthMismatch {
-            expected: n,
-            got: session_code.len(),
-        });
-    }
-
+    let n = bank_code_len(session_code, candidates)?;
     let mut channel = ChipChannel::new(noise_seed).with_noise(noise);
     if let Some(amp) = amplitude {
-        channel.transmit(0, spread(hello_bits, session_code), amp);
+        channel.transmit_spread(0, hello_bits, session_code, amp);
     }
-    let mut fused = FusedDespreader::new(&bank);
-    let mut corr = vec![0.0f64; bank.num_codes()];
-    let mut alive = vec![true; bank.num_codes()];
-    for (j, &expected) in hello_bits.iter().enumerate() {
-        fused.correlate_at(&channel, (j * n) as u64, &mut corr);
-        for (c, &cr) in corr.iter().enumerate() {
-            if decide(cr, tau).bit() != Some(expected) {
-                alive[c] = false;
-            }
-        }
-    }
-    let heard = alive.iter().position(|&a| a);
+    // The first candidate whose every bit period despreads to the
+    // expected bit.
+    let heard = candidates.iter().position(|code| {
+        hello_bits.iter().enumerate().all(|(j, &expected)| {
+            let dot = channel.correlate((j * n) as u64, code.chips());
+            decide(dot as f64 / n as f64, tau).bit() == Some(expected)
+        })
+    });
     if heard.is_some() {
         metric_counter!("mndp.closing_hellos_heard").inc();
     } else {
         metric_counter!("mndp.closing_hellos_missed").inc();
     }
     Ok(heard)
+}
+
+/// The candidates' shared chip length, checked against the session code's.
+fn bank_code_len(
+    session_code: &SpreadCode,
+    candidates: &[&SpreadCode],
+) -> Result<usize, DecodeError> {
+    let n = candidates[0].len();
+    assert!(
+        candidates.iter().all(|c| c.len() == n),
+        "all candidate codes must share one chip length"
+    );
+    if session_code.len() != n {
+        return Err(DecodeError::CodeLengthMismatch {
+            expected: n,
+            got: session_code.len(),
+        });
+    }
+    Ok(n)
 }
 
 /// [`closing_hello_heard`] with the closing HELLO carried through the
@@ -430,65 +439,40 @@ pub fn closing_hello_heard(
 /// empty, [`DecodeError::CodeLengthMismatch`] if the session code's length
 /// differs from the bank's, and [`DecodeError::Ecc`] if the expected frame
 /// cannot be ECC-encoded.
+///
+/// # Panics
+///
+/// Panics if the candidates do not share one chip length.
 #[allow(clippy::too_many_arguments)]
 pub fn closing_hello_heard_coded(
     hello_bits: &[bool],
-    session_code: &jrsnd_dsss::code::SpreadCode,
-    candidates: &[&jrsnd_dsss::code::SpreadCode],
+    session_code: &SpreadCode,
+    candidates: &[&SpreadCode],
     amplitude: Option<i32>,
     noise: f64,
     noise_seed: u64,
     tau: f64,
     codec: &mut crate::messages::FrameCodec,
 ) -> Result<Option<usize>, DecodeError> {
-    use jrsnd_dsss::channel::ChipChannel;
-    use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-    use jrsnd_dsss::spread::{decide, spread};
-
     if hello_bits.is_empty() || candidates.is_empty() {
         return Err(DecodeError::EmptyFrame);
     }
     let mut coded = Vec::new();
     codec.encode_into(hello_bits, &mut coded)?;
-    let bank = MultiCorrelator::new(candidates);
-    let n = bank.code_len();
-    if session_code.len() != n {
-        return Err(DecodeError::CodeLengthMismatch {
-            expected: n,
-            got: session_code.len(),
-        });
-    }
-
+    bank_code_len(session_code, candidates)?;
     let mut channel = ChipChannel::new(noise_seed).with_noise(noise);
     if let Some(amp) = amplitude {
-        channel.transmit(0, spread(&coded, session_code), amp);
+        channel.transmit_spread(0, &coded, session_code, amp);
     }
-    let m = bank.num_codes();
-    let len = coded.len();
-    let mut fused = FusedDespreader::new(&bank);
-    let mut corr = vec![0.0f64; m];
-    // Candidate-major coded bit/erasure planes, filled one rendered bit
-    // window at a time (each window correlates against the whole bank).
-    let mut bits = vec![false; m * len];
-    let mut erased = vec![false; m * len];
-    for j in 0..len {
-        fused.correlate_at(&channel, (j * n) as u64, &mut corr);
-        for (c, &cr) in corr.iter().enumerate() {
-            match decide(cr, tau).bit() {
-                Some(b) => bits[c * len + j] = b,
-                None => erased[c * len + j] = true,
-            }
-        }
-    }
+    let mut frame = Frame {
+        bits: Vec::new(),
+        erased: Vec::new(),
+    };
     let mut decoded = Vec::new();
-    let heard = (0..m).find(|&c| {
+    let heard = candidates.iter().position(|code| {
+        despread_from_channel_into(&channel, 0, code, coded.len(), tau, &mut frame);
         codec
-            .decode_into(
-                &bits[c * len..(c + 1) * len],
-                &erased[c * len..(c + 1) * len],
-                hello_bits.len(),
-                &mut decoded,
-            )
+            .decode_into(&frame.bits, &frame.erased, hello_bits.len(), &mut decoded)
             .is_ok()
             && decoded == hello_bits
     });

@@ -1,15 +1,23 @@
-//! Counting-allocator proof that the engine's shared-pass scan machinery
-//! is allocation-free once warm: rendering a chunk of HELLO windows,
-//! computing the one shared prefix-sum and bit-plane pass, re-pointing the
-//! pooled per-session bank, and running the full sliding-window scan +
-//! frame decode + ECC decode touches the heap **zero** times in steady
-//! state. One session's HELLO is under same-code jam at amplitude 3, so
-//! the chunk needs four bit planes (not the clean medium's two) and the
-//! scan runs its trigger/refinement path on every jammed bit.
+//! Counting-allocator proofs that the chip-level hot paths are
+//! allocation-free once warm.
 //!
-//! Endpoint frames (nonces, CONFIRM/AUTH payloads) are deliberately out of
-//! scope — they are fresh per handshake by design; this pins down the hot
-//! per-tick machinery the batch engine pools per shard.
+//! * The engine's shared-pass scan machinery: rendering a chunk of HELLO
+//!   windows, computing the one shared prefix-sum and bit-plane pass,
+//!   re-pointing the pooled per-session bank, and running the full
+//!   sliding-window scan + frame decode + ECC decode. One session's HELLO
+//!   is under same-code jam at amplitude 3, so the chunk needs four bit
+//!   planes (not the clean medium's two) and the scan runs its
+//!   trigger/refinement path on every jammed bit.
+//! * The exchange datapath every CONFIRM/AUTH message takes: ECC encode,
+//!   spreading into recycled chip storage under a same-code tail jam,
+//!   chip-domain despreading into a pooled frame, retiring the window, and
+//!   ECC decode.
+//! * The packed wire encode/parse path.
+//!
+//! Endpoint frames (nonces, CONFIRM/AUTH payloads) and key issuance are
+//! deliberately out of scope — they are fresh per handshake by design;
+//! these pin down the per-message machinery the batch engine pools per
+//! shard in its `LinkPools`.
 
 #[path = "../../../tests/support/alloc_count.rs"]
 mod alloc_count;
@@ -20,121 +28,170 @@ use jrsnd::params::Params;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::SpreadCode;
 use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
-use jrsnd_dsss::spread::spread;
+use jrsnd_dsss::spread::{despread_from_channel_into, spread};
 use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The chip-level calibration of the session benchmarks: `tau` rescaled
+/// for `n`-chip codes.
+fn chip_params(n: usize) -> Params {
+    let mut params = Params::table1();
+    params.n_chips = n;
+    params.tau = 0.30;
+    params
+}
+
+/// The pooled scratch both chip-level proofs warm up and then reuse —
+/// the buffers the engine holds per shard in its `LinkPools`, plus the
+/// re-pointed session bank.
+struct Scratch<'p> {
+    codec: FrameCodec,
+    /// ECC-coded bits of the message on the air.
+    coded: Vec<bool>,
+    /// Jam bits.
+    garbage: Vec<bool>,
+    frame: Frame,
+    decoded: Vec<bool>,
+    render: Vec<i32>,
+    prefix: PrefixSums,
+    scan: ScanScratch,
+    session_bank: MultiCorrelator<'p>,
+}
+
+impl Scratch<'_> {
+    fn new(params: &Params) -> Self {
+        Scratch {
+            codec: FrameCodec::new(params.mu).expect("mu validated"),
+            coded: Vec::new(),
+            garbage: Vec::new(),
+            frame: Frame {
+                bits: Vec::new(),
+                erased: Vec::new(),
+            },
+            decoded: Vec::new(),
+            render: Vec::new(),
+            prefix: PrefixSums::new(),
+            scan: ScanScratch::new(),
+            session_bank: MultiCorrelator::new(&[]),
+        }
+    }
+}
+
+/// Three sessions' HELLO broadcasts on one shared medium, and the
+/// receivers that scan it.
+struct Chunk<'p> {
+    channel: ChipChannel,
+    len: usize,
+    tau: f64,
+    hello_coded_len: usize,
+    hello_bits_len: usize,
+    /// (A's pool indices, B's pool indices, B's shared index) per session.
+    sessions: [(&'static [usize], &'static [usize], usize); 3],
+    /// (offset, span) of each session's window in the chunk.
+    windows: Vec<(usize, usize)>,
+    pool_bank: MultiCorrelator<'p>,
+}
+
+/// One full shared-pass scan over the chunk: ONE render and ONE
+/// prefix-sum and bit-plane pass serve every receiver. Returns how many
+/// receivers recovered their HELLO.
+fn shared_pass<'p>(chunk: &Chunk<'p>, s: &mut Scratch<'p>) -> usize {
+    chunk.channel.render_into(&mut s.render, 0, chunk.len);
+    s.prefix.compute(&s.render);
+    let n = chunk.pool_bank.code_len();
+    let mut hits = 0usize;
+    for (si, (_, b_idx, shared_b)) in chunk.sessions.iter().enumerate() {
+        let (rel, span) = chunk.windows[si];
+        s.session_bank.assign_from_pool(&chunk.pool_bank, b_idx);
+        let mut scanner = s
+            .session_bank
+            .scanner_in(&s.render[rel..rel + span], &s.prefix, rel);
+        let mut pos = 0usize;
+        while pos + n <= span {
+            let Some(h) = scan_from_with(&mut scanner, pos, chunk.tau, &mut s.scan) else {
+                break;
+            };
+            let code = scanner.bank().codes()[h.code_index];
+            let ok = decode_frame_into(
+                scanner.samples(),
+                h.offset,
+                code,
+                chunk.hello_coded_len,
+                chunk.tau,
+                &mut s.frame,
+            ) && s
+                .codec
+                .decode_into(
+                    &s.frame.bits,
+                    &s.frame.erased,
+                    chunk.hello_bits_len,
+                    &mut s.decoded,
+                )
+                .is_ok();
+            if ok && h.code_index == *shared_b {
+                hits += 1;
+                break;
+            }
+            pos = h.offset + n;
+        }
+    }
+    hits
+}
+
 #[test]
 fn warm_shared_scan_pass_makes_zero_allocations() {
-    let mut params = Params::table1();
-    params.n_chips = 256;
-    params.tau = 0.30;
+    let params = chip_params(256);
     let n = params.n_chips;
     let wire = WireConfig::from_params(&params);
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let pool: Vec<SpreadCode> = (0..6).map(|_| SpreadCode::random(n, &mut rng)).collect();
     let pool_refs: Vec<&SpreadCode> = pool.iter().collect();
-    let pool_bank = MultiCorrelator::new(&pool_refs);
 
-    // Three sessions' HELLO broadcasts on one shared medium. Session 0
-    // spreads with code 4 under a same-code jammer; its receiver listens
-    // with {4,5} for code 5, which nobody sends, so it scans the whole
-    // jammed window and never stops early. Session 1 spreads with codes
-    // {0,1}, session 2 with {2,3}; their receivers listen with banks {1,4}
-    // and {3,5} (code 1 / code 3 shared) and must recover their HELLOs.
-    let mut codec = FrameCodec::new(params.mu).expect("mu validated");
+    // Session 0 spreads with code 4 under a same-code jammer; its
+    // receiver listens with {4,5} for code 5, which nobody sends, so it
+    // scans the whole jammed window and never stops early. Session 1
+    // spreads with codes {0,1}, session 2 with {2,3}; their receivers
+    // listen with banks {1,4} and {3,5} (code 1 / code 3 shared) and must
+    // recover their HELLOs.
+    let mut scratch = Scratch::new(&params);
     let hello_bits: Vec<bool> = (0..wire.hello_bits()).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
-    codec.encode_into(&hello_bits, &mut hello_coded).unwrap();
+    scratch
+        .codec
+        .encode_into(&hello_bits, &mut hello_coded)
+        .unwrap();
     let msg_chips = hello_coded.len() * n;
-    let mut channel = ChipChannel::new(1);
-    let sessions: [(&[usize], &[usize], usize); 3] = [
-        (&[4], &[4, 5], 1),
-        (&[0, 1], &[1, 4], 0),
-        (&[2, 3], &[3, 5], 0),
-    ];
-    let mut offset = 0u64;
-    let mut windows: Vec<(usize, usize)> = Vec::new(); // (rel, span) per session
-    for (si, (a_idx, _, _)) in sessions.iter().enumerate() {
-        let rel = offset as usize;
+    let mut chunk = Chunk {
+        channel: ChipChannel::new(1),
+        len: 0,
+        tau: params.tau,
+        hello_coded_len: hello_coded.len(),
+        hello_bits_len: hello_bits.len(),
+        sessions: [
+            (&[4], &[4, 5], 1),
+            (&[0, 1], &[1, 4], 0),
+            (&[2, 3], &[3, 5], 0),
+        ],
+        windows: Vec::new(),
+        pool_bank: MultiCorrelator::new(&pool_refs),
+    };
+    for (si, (a_idx, _, _)) in chunk.sessions.iter().enumerate() {
+        let rel = chunk.len;
         for &k in a_idx.iter() {
-            channel.transmit(offset, spread(&hello_coded, &pool[k]), 1);
+            let offset = chunk.len as u64;
+            chunk
+                .channel
+                .transmit(offset, spread(&hello_coded, &pool[k]), 1);
             if si == 0 {
                 let garbage: Vec<bool> = (0..hello_coded.len()).map(|_| rng.gen()).collect();
-                channel.transmit(offset, spread(&garbage, &pool[k]), 3);
+                chunk
+                    .channel
+                    .transmit(offset, spread(&garbage, &pool[k]), 3);
             }
-            offset += msg_chips as u64;
+            chunk.len += msg_chips;
         }
-        windows.push((rel, offset as usize - rel));
-    }
-    let chunk_len = offset as usize;
-
-    // Pooled scratch: the render, prefix-sum, frame, scan, and decode
-    // buffers the engine holds per shard in its `LinkPools`, plus the
-    // re-pointed session bank.
-    let mut chunk_buf: Vec<i32> = Vec::new();
-    let mut prefix = PrefixSums::new();
-    let mut session_bank = MultiCorrelator::new(&[]);
-    let mut frame = Frame {
-        bits: Vec::new(),
-        erased: Vec::new(),
-    };
-    let mut scan_scratch = ScanScratch::new();
-    let mut decoded: Vec<bool> = Vec::new();
-
-    /// One full shared-pass scan over the chunk: ONE render and ONE
-    /// prefix-sum and bit-plane pass serve every receiver.
-    #[allow(clippy::too_many_arguments)]
-    fn shared_pass<'p>(
-        channel: &ChipChannel,
-        chunk_len: usize,
-        n: usize,
-        tau: f64,
-        hello_coded_len: usize,
-        hello_bits_len: usize,
-        sessions: &[(&[usize], &[usize], usize)],
-        windows: &[(usize, usize)],
-        pool_bank: &MultiCorrelator<'p>,
-        chunk_buf: &mut Vec<i32>,
-        prefix: &mut PrefixSums,
-        session_bank: &mut MultiCorrelator<'p>,
-        frame: &mut Frame,
-        scan_scratch: &mut ScanScratch,
-        decoded: &mut Vec<bool>,
-        codec: &mut FrameCodec,
-    ) -> usize {
-        channel.render_into(chunk_buf, 0, chunk_len);
-        prefix.compute(chunk_buf);
-        let mut hits = 0usize;
-        for (si, (_, b_idx, shared_b)) in sessions.iter().enumerate() {
-            let (rel, span) = windows[si];
-            session_bank.assign_from_pool(pool_bank, b_idx);
-            let mut scanner = session_bank.scanner_in(&chunk_buf[rel..rel + span], prefix, rel);
-            let mut pos = 0usize;
-            while pos + n <= span {
-                let Some(h) = scan_from_with(&mut scanner, pos, tau, scan_scratch) else {
-                    break;
-                };
-                let code = scanner.bank().codes()[h.code_index];
-                let ok = decode_frame_into(
-                    scanner.samples(),
-                    h.offset,
-                    code,
-                    hello_coded_len,
-                    tau,
-                    frame,
-                ) && codec
-                    .decode_into(&frame.bits, &frame.erased, hello_bits_len, decoded)
-                    .is_ok();
-                if ok && h.code_index == *shared_b {
-                    hits += 1;
-                    break;
-                }
-                pos = h.offset + n;
-            }
-        }
-        hits
+        chunk.windows.push((rel, chunk.len - rel));
     }
 
     // Warm-up TWICE: the first pass sizes the buffers, the second executes
@@ -143,56 +200,108 @@ fn warm_shared_scan_pass_makes_zero_allocations() {
     // handle — an 8-byte one-time allocation — the first time a reused
     // buffer is seen). The decode must actually work.
     for _ in 0..2 {
-        let warm_hits = shared_pass(
-            &channel,
-            chunk_len,
-            n,
-            params.tau,
-            hello_coded.len(),
-            hello_bits.len(),
-            &sessions,
-            &windows,
-            &pool_bank,
-            &mut chunk_buf,
-            &mut prefix,
-            &mut session_bank,
-            &mut frame,
-            &mut scan_scratch,
-            &mut decoded,
-            &mut codec,
+        assert_eq!(
+            shared_pass(&chunk, &mut scratch),
+            2,
+            "both receivers recover their HELLO"
         );
-        assert_eq!(warm_hits, 2, "both receivers recover their HELLO");
-        assert_eq!(decoded, hello_bits, "ECC decode round-trips the frame");
+        assert_eq!(
+            scratch.decoded, hello_bits,
+            "ECC decode round-trips the frame"
+        );
     }
 
     // Steady state: the identical pass, counted, must not allocate.
     let mut hits = 0;
-    let allocs = count_allocs(|| {
-        hits = shared_pass(
-            &channel,
-            chunk_len,
-            n,
-            params.tau,
-            hello_coded.len(),
-            hello_bits.len(),
-            &sessions,
-            &windows,
-            &pool_bank,
-            &mut chunk_buf,
-            &mut prefix,
-            &mut session_bank,
-            &mut frame,
-            &mut scan_scratch,
-            &mut decoded,
-            &mut codec,
-        );
-    });
+    let allocs = count_allocs(|| hits = shared_pass(&chunk, &mut scratch));
     assert_eq!(hits, 2, "warm pass reproduces the warm-up verdicts");
     assert_eq!(
         allocs.count, 0,
         "warm shared-pass scan machinery allocated {} times (last size {})",
         allocs.count, allocs.last_size
     );
+}
+
+/// One message exchange on `channel` at chip `cursor`, as
+/// `Link::exchange` runs it: ECC-encode `msg`, spread it into recycled
+/// chip storage, let a same-code jammer at amplitude 2 cover the last
+/// fifth with garbage from `rng`, despread in the chip domain into the
+/// pooled frame, retire the window, and ECC-decode. Returns the cursor
+/// past the window and whether the message came through.
+fn exchange_pass(
+    channel: &mut ChipChannel,
+    cursor: u64,
+    code: &SpreadCode,
+    msg: &[bool],
+    rng: &mut StdRng,
+    s: &mut Scratch<'_>,
+) -> (u64, bool) {
+    let tau = 0.30;
+    let n = code.len();
+    s.codec.encode_into(msg, &mut s.coded).expect("non-empty");
+    let coded_len = s.coded.len();
+    channel.transmit_spread(cursor, &s.coded, code, 1);
+    let jam_bits = coded_len / 5;
+    s.garbage.clear();
+    s.garbage.extend((0..jam_bits).map(|_| rng.gen::<bool>()));
+    let jam_start = cursor + ((coded_len - jam_bits) * n) as u64;
+    channel.transmit_spread(jam_start, &s.garbage, code, 2);
+    despread_from_channel_into(channel, cursor, code, coded_len, tau, &mut s.frame);
+    let end = cursor + (coded_len * n) as u64;
+    channel.retire_before(end);
+    let ok = s
+        .codec
+        .decode_into(&s.frame.bits, &s.frame.erased, msg.len(), &mut s.decoded)
+        .is_ok()
+        && s.decoded == msg;
+    (end, ok)
+}
+
+/// The exchange path — `FrameCodec::encode_into`,
+/// `ChipChannel::transmit_spread` (message plus a same-code tail jam),
+/// `despread_from_channel_into`, `ChipChannel::retire_before` and
+/// `FrameCodec::decode_into` — is allocation-free once warm, both when
+/// the code length is a multiple of 64 (every bit's chips land on word
+/// boundaries) and when it is not (shifted word ORs and unaligned word
+/// reads throughout).
+#[test]
+fn warm_exchange_datapath_makes_zero_allocations() {
+    for n in [256usize, 100] {
+        let params = chip_params(n);
+        let wire = WireConfig::from_params(&params);
+        let mut rng = StdRng::seed_from_u64(0xE8C4 ^ n as u64);
+        let code = SpreadCode::random(n, &mut rng);
+        let msg: Vec<bool> = (0..wire.auth_bits()).map(|_| rng.gen()).collect();
+        let mut scratch = Scratch::new(&params);
+        let mut channel = ChipChannel::new(7);
+        let mut cursor = 0u64;
+
+        // Warm twice: the first pass allocates the chip storage and frame
+        // planes; the second reuses storage that held the other
+        // transmission's (shorter or longer) sequence, and registers the
+        // lazy metric handles.
+        for _ in 0..2 {
+            let (end, ok) =
+                exchange_pass(&mut channel, cursor, &code, &msg, &mut rng, &mut scratch);
+            assert!(ok, "n = {n}: the tail jam stays within the ECC budget");
+            cursor = end;
+        }
+
+        let mut ok = false;
+        let allocs = count_allocs(|| {
+            let (end, got) =
+                exchange_pass(&mut channel, cursor, &code, &msg, &mut rng, &mut scratch);
+            cursor = end;
+            ok = got;
+        });
+        assert!(ok, "n = {n}: warm pass decodes the message");
+        assert_eq!(channel.transmission_count(), 0, "the window was retired");
+        assert_eq!(
+            allocs.count, 0,
+            "n = {n}: warm exchange datapath allocated {} times (last size {})",
+            allocs.count, allocs.last_size
+        );
+    }
 }
 
 /// The packed wire datapath the batch engine runs per session — pooled

@@ -17,8 +17,19 @@
 //! chip-at-a-time loop survives verbatim in [`reference`](mod@reference) as the
 //! correctness oracle; proptests assert the two render byte-identical
 //! samples, noise included, across arbitrary window boundaries.
+//!
+//! A bit-synchronised receiver needs no samples at all:
+//! [`ChipChannel::correlate`] computes a window's dot product with a code
+//! in the chip domain — XOR + popcount against every overlapping
+//! transmission, and against per-block nonzero/sign masks of the same
+//! noise stream — exactly equal to correlating the rendered window.
+//! [`ChipChannel::transmit_spread`] spreads a message straight into chip
+//! storage that [`ChipChannel::retire_before`] recycled from dead
+//! transmissions.
 
-use crate::chip::ChipSeq;
+use crate::chip::{low_mask, ChipSeq};
+use crate::code::SpreadCode;
+use crate::spread::{spread, spread_into};
 use jrsnd_sim::faults::FaultInjector;
 use jrsnd_sim::metric_counter;
 
@@ -124,6 +135,13 @@ pub struct ChipChannel {
     noise_threshold: u64,
     /// Optional fault injection applied at `transmit` time.
     faults: Option<FaultState>,
+    /// Chip storage of retired transmissions, reused by
+    /// [`ChipChannel::transmit_spread`].
+    spare: Vec<ChipSeq>,
+    /// The most transmissions ever live at once; live plus spare
+    /// sequences never exceed it, so recycling never holds more chip
+    /// storage than the channel's busiest moment did.
+    high_water: usize,
 }
 
 impl ChipChannel {
@@ -135,6 +153,8 @@ impl ChipChannel {
             noise_seed,
             noise_threshold: 0,
             faults: None,
+            spare: Vec::new(),
+            high_water: 0,
         }
     }
 
@@ -175,7 +195,36 @@ impl ChipChannel {
     /// Panics if `amplitude == 0`.
     pub fn transmit(&mut self, start_chip: u64, chips: ChipSeq, amplitude: i32) {
         assert!(amplitude != 0, "amplitude must be nonzero");
-        let (mut start_chip, mut chips) = (start_chip, chips);
+        self.schedule(start_chip, chips, amplitude);
+    }
+
+    /// `transmit(start_chip, spread(bits, code), amplitude)`, spreading
+    /// into chip storage recycled from retired transmissions: once the
+    /// channel has warmed up, a sender allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amplitude == 0` or `bits` is empty.
+    pub fn transmit_spread(
+        &mut self,
+        start_chip: u64,
+        bits: &[bool],
+        code: &SpreadCode,
+        amplitude: i32,
+    ) {
+        assert!(amplitude != 0, "amplitude must be nonzero");
+        let chips = match self.spare.pop() {
+            Some(mut chips) => {
+                spread_into(bits, code, &mut chips);
+                chips
+            }
+            None => spread(bits, code),
+        };
+        self.schedule(start_chip, chips, amplitude);
+    }
+
+    /// Applies the fault plan (if any) and inserts the transmission.
+    fn schedule(&mut self, mut start_chip: u64, mut chips: ChipSeq, amplitude: i32) {
         if let Some(faults) = &mut self.faults {
             let (inj, stream, index) = (faults.injector, faults.stream, faults.next_index);
             faults.next_index += 1;
@@ -184,7 +233,7 @@ impl ChipChannel {
             }
             let cut = inj.truncated_len(stream, index, chips.len());
             if cut < chips.len() {
-                chips = chips.truncated(cut);
+                chips.truncate(cut);
             }
             if let Some((at, len)) = inj.burst(stream, index, chips.len()) {
                 chips.flip_range(at, len);
@@ -204,6 +253,7 @@ impl ChipChannel {
                 amplitude,
             },
         );
+        self.high_water = self.high_water.max(self.transmissions.len());
     }
 
     /// Number of scheduled transmissions.
@@ -220,12 +270,114 @@ impl ChipChannel {
     /// single chip there, and ambient noise is stateless (keyed by absolute
     /// chip index), so such renders are byte-identical before and after the
     /// call. Windows reaching *before* the watermark lose the retired
-    /// signals, as intended.
+    /// signals, as intended. Their chip storage is kept for
+    /// [`ChipChannel::transmit_spread`].
     pub fn retire_before(&mut self, watermark: u64) -> usize {
         let before = self.transmissions.len();
-        // `retain` is stable, so the sorted-by-start order is preserved.
-        self.transmissions.retain(|t| t.end_chip() > watermark);
+        // `extract_if` keeps the survivors in their sorted-by-start order.
+        for tx in self
+            .transmissions
+            .extract_if(.., |t| t.end_chip() <= watermark)
+        {
+            self.spare.push(tx.chips);
+        }
+        self.spare
+            .truncate(self.high_water - self.transmissions.len());
         before - self.transmissions.len()
+    }
+
+    /// The dot product `Σ cᵢ·sᵢ` of `code` with the `code.len()` samples
+    /// from absolute chip `start` — exactly
+    /// `code.dot_levels(&self.render(start, code.len()))` whenever the
+    /// rendered samples fit in `i32` — without rendering a sample.
+    ///
+    /// Every overlapping transmission adds
+    /// `amplitude · (overlap − 2·popcount((tx ⊕ code) & mask))` over its
+    /// packed words ([`ChipSeq::word_at`] on both sides), and ambient noise
+    /// adds `popcount(nz) − 2·popcount(nz & (sign ⊕ code))` per 64-chip
+    /// noise block, from the nonzero/sign masks of the block stream
+    /// [`ChipChannel::render`] draws.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jrsnd_dsss::channel::ChipChannel;
+    /// use jrsnd_dsss::code::SpreadCode;
+    /// use jrsnd_dsss::spread::spread;
+    /// use rand::SeedableRng;
+    ///
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    /// let code = SpreadCode::random(100, &mut rng);
+    /// let mut ch = ChipChannel::new(4).with_noise(0.2);
+    /// ch.transmit(30, spread(&[true, false], &code), 3);
+    /// for start in [0, 30, 77, 130] {
+    ///     let window = ch.render(start, 100);
+    ///     assert_eq!(ch.correlate(start, code.chips()), code.chips().dot_levels(&window));
+    /// }
+    /// assert_eq!(ch.correlate(30, code.chips()), 3 * 100);
+    /// ```
+    pub fn correlate(&self, start: u64, code: &ChipSeq) -> i64 {
+        let end = start + code.len() as u64;
+        let mut acc = self.noise_dot(start, code);
+        for tx in &self.transmissions {
+            if tx.start_chip >= end {
+                break; // sorted by start: nothing later can overlap
+            }
+            if tx.end_chip() <= start {
+                continue;
+            }
+            let from = tx.start_chip.max(start);
+            let overlap = (tx.end_chip().min(end) - from) as usize;
+            let (rel, off) = ((from - tx.start_chip) as usize, (from - start) as usize);
+            let mut mismatches = 0u64;
+            for k in (0..overlap).step_by(64) {
+                let mask = low_mask(overlap - k);
+                let diff = tx.chips.word_at(rel + k) ^ code.word_at(off + k);
+                mismatches += u64::from((diff & mask).count_ones());
+            }
+            acc += i64::from(tx.amplitude) * (overlap as i64 - 2 * mismatches as i64);
+        }
+        acc
+    }
+
+    /// The noise part of [`ChipChannel::correlate`]: zero on a noiseless
+    /// channel.
+    fn noise_dot(&self, start: u64, code: &ChipSeq) -> i64 {
+        if self.noise_threshold == 0 {
+            return 0;
+        }
+        let n = code.len();
+        let mut acc = 0i64;
+        let mut i = 0usize;
+        while i < n {
+            let chip = start + i as u64;
+            let take = (64 - (chip % 64) as usize).min(n - i);
+            let (nz, pos) = self.noise_masks(chip, take);
+            let disagree = nz & (pos ^ code.word_at(i));
+            acc += i64::from(nz.count_ones()) - 2 * i64::from(disagree.count_ones());
+            i += take;
+        }
+        acc
+    }
+
+    /// The noise of chips `chip..chip + take` (all in one 64-chip block)
+    /// as masks, bit `k` for chip `chip + k`: `nz` marks the noisy chips,
+    /// `pos` those whose noise is +1. Drawn from the block stream
+    /// [`ChipChannel::fill_noise`] renders: seeded once per block, one
+    /// golden-ratio add + mix per chip.
+    fn noise_masks(&self, chip: u64, take: usize) -> (u64, u64) {
+        let (block, lane) = (chip / 64, chip % 64);
+        debug_assert!(lane as usize + take <= 64, "masks stay in one block");
+        let mut x = (self.noise_seed ^ block.wrapping_mul(GOLDEN))
+            .wrapping_add((lane + 1).wrapping_mul(GOLDEN));
+        let (mut nz, mut pos) = (0u64, 0u64);
+        for k in 0..take {
+            let z = splitmix_mix(x);
+            x = x.wrapping_add(GOLDEN);
+            nz |= u64::from(u64::from(z as u32) < self.noise_threshold) << k;
+            pos |= ((z >> 40) & 1) << k;
+        }
+        (nz, pos & nz)
     }
 
     /// Samples `len` chips starting at absolute index `start`.
@@ -588,6 +740,55 @@ mod tests {
     }
 
     #[test]
+    fn transmit_spread_matches_transmit_of_spread_across_retires() {
+        use jrsnd_sim::faults::FaultPlan;
+        let mut r = rng(15);
+        let codes: Vec<SpreadCode> = (0..2).map(|_| SpreadCode::random(100, &mut r)).collect();
+        let inj = FaultInjector::new(5, FaultPlan::intensity(0.6));
+        let mut plain = ChipChannel::new(8).with_noise(0.1).with_faults(inj, 2);
+        let mut pooled = plain.clone();
+        let mut cursor = 0u64;
+        for round in 0..12usize {
+            // Messages of varying length, so recycled storage is both
+            // longer and shorter than what it is reused for.
+            let msg: Vec<bool> = (0..3 + round % 5).map(|i| (i + round) % 3 == 0).collect();
+            let jam: Vec<bool> = (0..1 + round % 3).map(|i| i % 2 == 0).collect();
+            let tail = cursor + ((msg.len() - jam.len()) * 100) as u64;
+            plain.transmit(cursor, spread(&msg, &codes[0]), 1);
+            plain.transmit(tail, spread(&jam, &codes[round % 2]), -2);
+            pooled.transmit_spread(cursor, &msg, &codes[0], 1);
+            pooled.transmit_spread(tail, &jam, &codes[round % 2], -2);
+            let len = msg.len() * 100 + 128;
+            assert_eq!(pooled.render(cursor, len), plain.render(cursor, len));
+            cursor += (msg.len() * 100) as u64;
+            assert_eq!(pooled.retire_before(cursor), plain.retire_before(cursor));
+            assert_eq!(pooled.transmission_count(), plain.transmission_count());
+        }
+        assert!(!pooled.spare.is_empty(), "retired storage was kept");
+    }
+
+    #[test]
+    fn recycled_storage_never_exceeds_the_high_water_mark() {
+        let mut ch = ChipChannel::new(0);
+        for i in 0..50u64 {
+            // By-value transmissions also feed the spare pool on retire.
+            for k in 0..(i % 4 + 1) {
+                ch.transmit(i * 1000 + k, ChipSeq::from_bits(&[true; 70]), 1);
+            }
+            ch.retire_before(i * 1000 + 500);
+            assert!(ch.spare.len() + ch.transmission_count() <= ch.high_water);
+        }
+        assert_eq!(ch.high_water, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "amplitude must be nonzero")]
+    fn zero_amplitude_spread_rejected() {
+        let code = SpreadCode::random(16, &mut rng(16));
+        ChipChannel::new(0).transmit_spread(0, &[true], &code, 0);
+    }
+
+    #[test]
     #[should_panic(expected = "amplitude must be nonzero")]
     fn zero_amplitude_rejected() {
         let mut ch = ChipChannel::new(0);
@@ -645,6 +846,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::chip::ChipSeq;
+    use crate::code::SpreadCode;
     use proptest::prelude::*;
 
     /// A random channel: up to 8 transmissions with arbitrary starts,
@@ -672,6 +874,81 @@ mod proptests {
                 }
                 ch
             })
+    }
+
+    /// A channel with a same-code-heavy mix: up to 6 spread frames at
+    /// arbitrary chip offsets, amplitudes from ±1 to ±2^24, noise
+    /// p ∈ {0, 0.3, 1}, and optionally a fault injector that truncates,
+    /// burst-corrupts and delays transmissions so they start and end off
+    /// word boundaries.
+    fn arb_spread_channel() -> impl Strategy<Value = (ChipChannel, Vec<SpreadCode>)> {
+        use jrsnd_sim::faults::FaultPlan;
+        use rand::SeedableRng;
+        (
+            any::<u64>(),
+            prop_oneof![
+                Just(1usize),
+                Just(63),
+                Just(64),
+                Just(65),
+                Just(100),
+                Just(256)
+            ],
+            prop_oneof![Just(0.0f64), Just(0.3), Just(1.0)],
+            any::<bool>(),
+            proptest::collection::vec(
+                (
+                    0u64..3000,
+                    proptest::collection::vec(any::<bool>(), 1..12),
+                    0usize..3,
+                    prop_oneof![-4i32..0, 1i32..=4, Just(1 << 24), Just(-(1 << 24))],
+                ),
+                0..6,
+            ),
+        )
+            .prop_map(|(seed, n, p, faulty, txs)| {
+                let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+                let codes: Vec<SpreadCode> =
+                    (0..3).map(|_| SpreadCode::random(n, &mut r)).collect();
+                let mut ch = ChipChannel::new(seed).with_noise(p);
+                if faulty {
+                    let plan = FaultPlan {
+                        delay_prob: 0.5,
+                        max_delay_chips: 97,
+                        burst_prob: 0.5,
+                        max_burst_chips: 150,
+                        truncate_prob: 0.5,
+                        max_truncate_frac: 0.7,
+                        ..FaultPlan::none()
+                    };
+                    ch = ch.with_faults(FaultInjector::new(seed, plan), 3);
+                }
+                for (start, bits, c, amp) in txs {
+                    ch.transmit_spread(start, &bits, &codes[c], amp);
+                }
+                (ch, codes)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn chip_domain_correlation_matches_rendered_reference(
+            chan in arb_spread_channel(),
+            starts in proptest::collection::vec(0u64..3500, 1..6),
+        ) {
+            use crate::spread::reference::correlate_window;
+            let (ch, codes) = chan;
+            for start in starts {
+                for code in &codes {
+                    let n = code.len();
+                    let window = reference::render(&ch, start, n);
+                    let want = correlate_window(&window, code);
+                    let got = ch.correlate(start, code.chips()) as f64 / n as f64;
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "start {} n {}", start, n);
+                }
+            }
+        }
     }
 
     proptest! {

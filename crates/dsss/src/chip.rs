@@ -6,6 +6,17 @@
 //! multiply-adds:
 //! `corr(u, v) = (N − 2·hamming(u ⊕ v)) / N`.
 
+/// The low `min(n, 64)` bits set: the chips of a word that holds `n` or
+/// more of a sequence's remaining chips.
+#[inline]
+pub(crate) fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// A fixed-length sequence of ±1 chips, packed one chip per bit.
 ///
 /// # Examples
@@ -166,18 +177,20 @@ impl ChipSeq {
     /// The chip-wise negation (every +1 ↔ −1) — how a data bit "0"/−1 is
     /// spread.
     pub fn negated(&self) -> ChipSeq {
-        let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
-        // Clear the padding bits of the last word.
-        let tail = self.len % 64;
-        if tail != 0 {
-            let mask = (1u64 << tail) - 1;
-            if let Some(last) = words.last_mut() {
-                *last &= mask;
-            }
-        }
-        ChipSeq {
-            words,
+        let mut neg = ChipSeq {
+            words: self.words.iter().map(|w| !w).collect(),
             len: self.len,
+        };
+        neg.clear_padding();
+        neg
+    }
+
+    /// Clears the padding bits past `len` in the last word, restoring the
+    /// invariant `Eq`/`Hash` and [`ChipSeq::word_at`] rely on.
+    fn clear_padding(&mut self) {
+        let mask = low_mask(self.len - 64 * (self.words.len() - 1));
+        if let Some(last) = self.words.last_mut() {
+            *last &= mask;
         }
     }
 
@@ -222,20 +235,29 @@ impl ChipSeq {
             "truncation length {new_len} exceeds {}",
             self.len
         );
-        let mut words = self.words[..new_len.div_ceil(64)].to_vec();
-        // Clear the padding bits of the (new) last word so Eq/Hash and
-        // word_at's zero-padding contract keep holding.
-        let tail = new_len % 64;
-        if tail != 0 {
-            let mask = (1u64 << tail) - 1;
-            if let Some(last) = words.last_mut() {
-                *last &= mask;
-            }
-        }
-        ChipSeq {
-            words,
-            len: new_len,
-        }
+        let mut cut = ChipSeq {
+            words: self.words[..new_len.div_ceil(64)].to_vec(),
+            len: self.len,
+        };
+        cut.truncate(new_len);
+        cut
+    }
+
+    /// [`ChipSeq::truncated`] in place, keeping the word storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_len == 0` or `new_len > len`.
+    pub(crate) fn truncate(&mut self, new_len: usize) {
+        assert!(new_len > 0, "truncated sequence must be non-empty");
+        assert!(
+            new_len <= self.len,
+            "truncation length {new_len} exceeds {}",
+            self.len
+        );
+        self.words.truncate(new_len.div_ceil(64));
+        self.len = new_len;
+        self.clear_padding();
     }
 
     /// Inverts the `count` chips starting at `start` in place (clamped to
@@ -262,14 +284,71 @@ impl ChipSeq {
         }
     }
 
-    /// Concatenates sequences (message spreading glues per-bit chip blocks).
+    /// Concatenates sequences, one shifted word OR per 64 chips of each
+    /// part.
     pub fn concat(parts: &[&ChipSeq]) -> ChipSeq {
         assert!(!parts.is_empty(), "cannot concatenate zero sequences");
-        let mut bits = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        let mut out = ChipSeq::zeroed(parts.iter().map(|p| p.len).sum());
+        let mut offset = 0;
         for p in parts {
-            bits.extend(p.to_bits());
+            out.or_at(offset, p, false);
+            offset += p.len;
         }
-        ChipSeq::from_bits(&bits)
+        out
+    }
+
+    /// `len` chips, all −1 (every word zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len == 0`.
+    pub(crate) fn zeroed(len: usize) -> ChipSeq {
+        let mut seq = ChipSeq {
+            words: Vec::new(),
+            len: 1,
+        };
+        seq.reset(len);
+        seq
+    }
+
+    /// Re-sizes to `len` chips, all −1, reusing the word storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len == 0`.
+    pub(crate) fn reset(&mut self, len: usize) {
+        assert!(len > 0, "chip sequence must be non-empty");
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
+    /// ORs `src` — or its chip-wise negation when `negate` — into chips
+    /// `offset..offset + src.len()`, which must still be −1 (zero bits).
+    /// Each source word (complemented and tail-masked as needed) lands as
+    /// one or, off a word boundary, two shifted word ORs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past [`ChipSeq::len`].
+    pub(crate) fn or_at(&mut self, offset: usize, src: &ChipSeq, negate: bool) {
+        assert!(
+            offset + src.len <= self.len,
+            "chips {offset}..{} out of range {}",
+            offset + src.len,
+            self.len
+        );
+        let flip = if negate { u64::MAX } else { 0 };
+        let (q, sh) = (offset / 64, offset % 64);
+        for (i, &w) in src.words.iter().enumerate() {
+            // Complementing sets the padding bits; the mask clears them.
+            let v = (w ^ flip) & low_mask(src.len - 64 * i);
+            self.words[q + i] |= v << sh;
+            if sh != 0 && v >> (64 - sh) != 0 {
+                // Only chips below `self.len` spill over, so the word exists.
+                self.words[q + i + 1] |= v >> (64 - sh);
+            }
+        }
     }
 }
 
@@ -453,6 +532,19 @@ mod proptests {
                 .sum();
             let expected = naive as f64 / bits_a.len() as f64;
             prop_assert!((a.correlate(&b) - expected).abs() < 1e-12);
+        }
+
+        #[test]
+        fn word_concat_matches_bool_concat(
+            parts in proptest::collection::vec(
+                proptest::collection::vec(any::<bool>(), 1..200),
+                1..6,
+            ),
+        ) {
+            let seqs: Vec<ChipSeq> = parts.iter().map(|p| ChipSeq::from_bits(p)).collect();
+            let refs: Vec<&ChipSeq> = seqs.iter().collect();
+            let bits: Vec<bool> = parts.concat();
+            prop_assert_eq!(ChipSeq::concat(&refs), ChipSeq::from_bits(&bits));
         }
 
         #[test]

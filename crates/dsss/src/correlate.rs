@@ -38,9 +38,7 @@
 //! The scalar one-chip-at-a-time implementation survives as the oracle in
 //! [`crate::spread::reference`]; proptests assert the two agree bit-for-bit.
 
-use crate::channel::ChipChannel;
 use crate::code::SpreadCode;
-use crate::spread::correlate_window;
 
 /// Packed words per span: the kernel reads a window 256 chips at a time,
 /// one 256-bit vector of `u64` lanes.
@@ -341,78 +339,6 @@ enum Prefix<'s> {
     Shared { sums: &'s PrefixSums, base: usize },
 }
 
-/// The fused render→despread path: bit-aligned windows are rendered one at
-/// a time from a [`ChipChannel`] into a reused scratch buffer and
-/// correlated against the whole bank, so despreading an `n_bits`-bit frame
-/// needs `O(N)` memory instead of materialising the full `n_bits·N` sample
-/// vector first.
-///
-/// Each window goes through the exact word kernel of
-/// [`correlate_window`] (`ChipSeq::dot_levels`), so correlations are
-/// bit-identical to rendering the whole frame and running a
-/// [`BankScanner`] over it.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_dsss::channel::ChipChannel;
-/// use jrsnd_dsss::code::SpreadCode;
-/// use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-/// use jrsnd_dsss::spread::spread;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let code = SpreadCode::random(256, &mut rng);
-/// let mut ch = ChipChannel::new(0);
-/// ch.transmit(0, spread(&[true, false], &code), 1);
-///
-/// let bank = MultiCorrelator::new(&[&code]);
-/// let mut fused = FusedDespreader::new(&bank);
-/// let mut corr = [0.0];
-/// fused.correlate_at(&ch, 0, &mut corr);
-/// assert_eq!(corr[0], 1.0);
-/// fused.correlate_at(&ch, 256, &mut corr);
-/// assert_eq!(corr[0], -1.0);
-/// ```
-#[derive(Debug)]
-pub struct FusedDespreader<'b, 'a> {
-    bank: &'b MultiCorrelator<'a>,
-    /// The one window ever materialised, reused across bit periods.
-    window: Vec<i32>,
-}
-
-impl<'b, 'a> FusedDespreader<'b, 'a> {
-    /// Prepares a fused despreader over `bank`.
-    pub fn new(bank: &'b MultiCorrelator<'a>) -> Self {
-        FusedDespreader {
-            bank,
-            window: Vec::with_capacity(bank.code_len()),
-        }
-    }
-
-    /// The underlying bank.
-    pub fn bank(&self) -> &MultiCorrelator<'a> {
-        self.bank
-    }
-
-    /// Renders the bank-length window at absolute chip `start` from
-    /// `channel` and writes the normalised correlations against **all**
-    /// codes to `out` in bank order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank is empty or `out.len() != m`.
-    pub fn correlate_at(&mut self, channel: &ChipChannel, start: u64, out: &mut [f64]) {
-        let n = self.bank.n;
-        assert!(n > 0, "cannot correlate against an empty bank");
-        assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
-        channel.render_into(&mut self.window, start, n);
-        for (o, code) in out.iter_mut().zip(&self.bank.codes) {
-            *o = correlate_window(&self.window, code);
-        }
-    }
-}
-
 /// A buffer prepared for sliding-window correlation against a bank: the
 /// bank plus the buffer's prefix sums and bit planes.
 #[derive(Debug)]
@@ -610,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_despreader_matches_scanner_on_rendered_frames() {
+    fn channel_correlate_matches_scanner_on_rendered_frames() {
         use crate::channel::ChipChannel;
         let mut r = rng(7);
         let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(128, &mut r)).collect();
@@ -625,14 +551,12 @@ mod tests {
         // Materialised path: render the whole frame, scan it.
         let samples = ch.render(0, n_bits * 128);
         let scanner = bank.scanner(&samples);
-        let mut fused = FusedDespreader::new(&bank);
         let mut want = [0.0; 4];
-        let mut got = [0.0; 4];
         for j in 0..n_bits {
             scanner.correlate_all(j * 128, &mut want);
-            fused.correlate_at(&ch, (j * 128) as u64, &mut got);
-            for c in 0..4 {
-                assert_eq!(got[c].to_bits(), want[c].to_bits(), "bit {j} code {c}");
+            for (c, code) in codes.iter().enumerate() {
+                let got = ch.correlate((j * 128) as u64, code.chips()) as f64 / 128.0;
+                assert_eq!(got.to_bits(), want[c].to_bits(), "bit {j} code {c}");
             }
         }
     }

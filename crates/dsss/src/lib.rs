@@ -10,17 +10,21 @@
 //!
 //! * [`chip`] — bit-packed ±1 chip sequences with popcount correlation;
 //! * [`code`] — pseudorandom spread codes and the authority's secret pool;
-//! * [`mod@spread`] — spreading/de-spreading with the threshold-τ decision
-//!   rule (reliable 1 / reliable 0 / erasure);
+//! * [`mod@spread`] — spreading (code words or their complement written
+//!   straight into packed chip words) and de-spreading with the
+//!   threshold-τ decision rule (reliable 1 / reliable 0 / erasure), with
+//!   the bool-at-a-time spreader and chip-at-a-time correlator retained
+//!   under `spread::reference`;
 //! * [`channel`] — a chip-synchronous shared medium: superposed
 //!   transmissions, jammers as louder transmitters, deterministic noise —
 //!   rendered by a blocked word-parallel kernel (64 chips per iteration)
-//!   with the chip-at-a-time oracle retained under `channel::reference`;
+//!   with the chip-at-a-time oracle retained under `channel::reference`,
+//!   and correlated against a code without rendering
+//!   (`ChipChannel::correlate`: XOR + popcount per transmission and per
+//!   noise block), which is how a bit-synchronised receiver despreads;
 //! * [`correlate`] — the bit-plane batched kernel: one window against a
 //!   whole code bank by AND + popcount over the buffer's bit planes, with
-//!   prefix-sum window totals, plus the fused render→despread path
-//!   (`FusedDespreader`) that correlates channel windows one bit period at
-//!   a time without materializing the full sample vector;
+//!   prefix-sum window totals;
 //! * [`sync`] — the sliding-window scan that locates a message start among
 //!   buffered chips (and counts the correlations it cost);
 //! * [`timing`] — the buffer/process schedule constants (`t_h`, `t_b`, λ,

@@ -9,6 +9,7 @@
 use crate::channel::ChipChannel;
 use crate::chip::ChipSeq;
 use crate::code::SpreadCode;
+use crate::sync::Frame;
 
 /// The paper's de-spreading threshold for `N = 512` codes (Section III).
 pub const DEFAULT_TAU: f64 = 0.15;
@@ -60,10 +61,28 @@ impl BitDecision {
 /// Panics if `bits` is empty.
 pub fn spread(bits: &[bool], code: &SpreadCode) -> ChipSeq {
     assert!(!bits.is_empty(), "cannot spread an empty message");
-    let pos = code.chips().clone();
-    let neg = pos.negated();
-    let parts: Vec<&ChipSeq> = bits.iter().map(|&b| if b { &pos } else { &neg }).collect();
-    ChipSeq::concat(&parts)
+    let mut out = ChipSeq::zeroed(bits.len() * code.len());
+    spread_into(bits, code, &mut out);
+    out
+}
+
+/// [`spread`] into caller-owned storage, which is resized to
+/// `bits.len() * code.len()` chips (its previous contents are
+/// irrelevant). Each bit writes the code's packed words — or their
+/// complement for a "0" — at the running chip offset, with the last word
+/// tail-masked and shifted word ORs when `N` is not a multiple of 64; no
+/// chip is ever unpacked.
+///
+/// # Panics
+///
+/// Panics if `bits` is empty.
+pub fn spread_into(bits: &[bool], code: &SpreadCode, out: &mut ChipSeq) {
+    assert!(!bits.is_empty(), "cannot spread an empty message");
+    let n = code.len();
+    out.reset(bits.len() * n);
+    for (j, &b) in bits.iter().enumerate() {
+        out.or_at(j * n, code.chips(), !b);
+    }
 }
 
 /// Correlates one `N`-chip window of soft samples against a code.
@@ -97,7 +116,25 @@ pub fn correlate_window(window: &[i32], code: &SpreadCode) -> f64 {
 /// that the fast paths reproduce them bit-for-bit. They are not used on any
 /// hot path.
 pub mod reference {
-    use super::SpreadCode;
+    use super::{ChipSeq, SpreadCode};
+
+    /// Bool-at-a-time [`spread`](super::spread): every bit's chip block
+    /// (the code or its negation) is unpacked into one `Vec<bool>` and
+    /// repacked at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is empty.
+    pub fn spread(bits: &[bool], code: &SpreadCode) -> ChipSeq {
+        assert!(!bits.is_empty(), "cannot spread an empty message");
+        let pos = code.chips();
+        let neg = pos.negated();
+        let mut chips = Vec::with_capacity(bits.len() * code.len());
+        for &b in bits {
+            chips.extend((if b { pos } else { &neg }).to_bits());
+        }
+        ChipSeq::from_bits(&chips)
+    }
 
     /// Chip-at-a-time correlation of one `N`-chip window against a code.
     ///
@@ -143,37 +180,24 @@ pub fn despread_levels(samples: &[i32], code: &SpreadCode, tau: f64) -> (Vec<boo
         "sample count {} is not a multiple of code length {n}",
         samples.len()
     );
-    let mut bits = Vec::with_capacity(samples.len() / n);
-    let mut erased = Vec::with_capacity(samples.len() / n);
+    let mut frame = Frame {
+        bits: Vec::with_capacity(samples.len() / n),
+        erased: Vec::with_capacity(samples.len() / n),
+    };
     for window in samples.chunks_exact(n) {
-        match decide(correlate_window(window, code), tau) {
-            BitDecision::One => {
-                bits.push(true);
-                erased.push(false);
-            }
-            BitDecision::Zero => {
-                bits.push(false);
-                erased.push(false);
-            }
-            BitDecision::Erased => {
-                bits.push(false);
-                erased.push(true);
-            }
-        }
+        frame.push(decide(correlate_window(window, code), tau));
     }
-    (bits, erased)
+    (frame.bits, frame.erased)
 }
 
 /// De-spreads an `n_bits`-bit frame (starting at absolute chip `start`,
-/// exactly on a bit boundary) straight off a [`ChipChannel`] — the fused
-/// render→despread path.
+/// exactly on a bit boundary) straight off a [`ChipChannel`].
 ///
 /// Bit decisions are identical to `channel.render(start, n_bits · N)`
-/// followed by [`despread_levels`], but only one `N`-chip window is ever
-/// materialised: each bit period is rendered into a reused scratch buffer
-/// and fed to the bank correlator ([`crate::correlate::FusedDespreader`])
-/// in the same pass, so the receiver's memory stays `O(N)` no matter how
-/// long the frame is.
+/// followed by [`despread_levels`], but no sample is ever rendered: each
+/// bit period is one [`ChipChannel::correlate`] against the code, XOR +
+/// popcount over the packed chips of every overlapping transmission and
+/// of the ambient noise.
 ///
 /// # Examples
 ///
@@ -199,30 +223,30 @@ pub fn despread_from_channel(
     n_bits: usize,
     tau: f64,
 ) -> (Vec<bool>, Vec<bool>) {
+    let mut frame = Frame {
+        bits: Vec::with_capacity(n_bits),
+        erased: Vec::with_capacity(n_bits),
+    };
+    despread_from_channel_into(channel, start, code, n_bits, tau, &mut frame);
+    (frame.bits, frame.erased)
+}
+
+/// [`despread_from_channel`] into a caller-pooled [`Frame`], clearing it
+/// first; allocation-free once the frame has warmed up.
+pub fn despread_from_channel_into(
+    channel: &ChipChannel,
+    start: u64,
+    code: &SpreadCode,
+    n_bits: usize,
+    tau: f64,
+    frame: &mut Frame,
+) {
+    frame.clear();
     let n = code.len();
-    let bank = crate::correlate::MultiCorrelator::new(&[code]);
-    let mut fused = crate::correlate::FusedDespreader::new(&bank);
-    let mut bits = Vec::with_capacity(n_bits);
-    let mut erased = Vec::with_capacity(n_bits);
-    let mut corr = [0.0f64];
     for j in 0..n_bits {
-        fused.correlate_at(channel, start + (j * n) as u64, &mut corr);
-        match decide(corr[0], tau) {
-            BitDecision::One => {
-                bits.push(true);
-                erased.push(false);
-            }
-            BitDecision::Zero => {
-                bits.push(false);
-                erased.push(false);
-            }
-            BitDecision::Erased => {
-                bits.push(false);
-                erased.push(true);
-            }
-        }
+        let dot = channel.correlate(start + (j * n) as u64, code.chips());
+        frame.push(decide(dot as f64 / n as f64, tau));
     }
-    (bits, erased)
 }
 
 #[cfg(test)]
@@ -321,7 +345,7 @@ mod tests {
 
     #[test]
     fn fused_despread_matches_materialised_path() {
-        // The fused path must reproduce render-everything-then-despread
+        // The chip-domain path must reproduce render-everything-then-despread
         // decision for decision, including under same-code jamming and
         // ambient noise, at an unaligned start offset.
         let mut r = rng(6);
@@ -372,14 +396,33 @@ mod proptests {
         }
 
         #[test]
+        fn spread_matches_bool_reference(
+            seed in 0u64..1000,
+            msg in proptest::collection::vec(any::<bool>(), 1..60),
+            n in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(100), Just(256), Just(512)],
+            dirty in proptest::collection::vec(any::<bool>(), 1..3000),
+        ) {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let code = SpreadCode::random(n, &mut r);
+            let want = reference::spread(&msg, &code);
+            prop_assert_eq!(&spread(&msg, &code), &want);
+            // Reused storage of any earlier length and content.
+            let mut out = ChipSeq::from_bits(&dirty);
+            spread_into(&msg, &code, &mut out);
+            prop_assert_eq!(&out, &want);
+            spread_into(&msg[..msg.len().div_ceil(2)], &code, &mut out);
+            prop_assert_eq!(out, reference::spread(&msg[..msg.len().div_ceil(2)], &code));
+        }
+
+        #[test]
         fn fused_despread_equals_materialised(
             seed in 0u64..1000,
             msg in proptest::collection::vec(any::<bool>(), 1..40),
             start in 0u64..2000,
             noise in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
             jam_amp in prop_oneof![Just(None), (1i32..=4).prop_map(Some)],
+            n in prop_oneof![Just(63usize), Just(64), Just(100), Just(128)],
         ) {
-            let n = 128usize;
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let code = SpreadCode::random(n, &mut r);
             let mut ch = ChipChannel::new(seed ^ 0xABCD);

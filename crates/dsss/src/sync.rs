@@ -44,6 +44,18 @@ impl Frame {
         }
         self.erased.iter().filter(|&&e| e).count() as f64 / self.erased.len() as f64
     }
+
+    /// Empties both planes, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.bits.clear();
+        self.erased.clear();
+    }
+
+    /// Appends one bit decision (an erasure reads as `false`, flagged).
+    pub(crate) fn push(&mut self, decision: BitDecision) {
+        self.bits.push(decision == BitDecision::One);
+        self.erased.push(decision == BitDecision::Erased);
+    }
 }
 
 /// Scans `samples` for the earliest chip offset at which any candidate
@@ -240,8 +252,7 @@ pub fn decode_frame_into(
     tau: f64,
     frame: &mut Frame,
 ) -> bool {
-    frame.bits.clear();
-    frame.erased.clear();
+    frame.clear();
     let n = code.len();
     let Some(needed) = n_bits.checked_mul(n).and_then(|c| offset.checked_add(c)) else {
         return false;
@@ -251,20 +262,7 @@ pub fn decode_frame_into(
     }
     for j in 0..n_bits {
         let window = &samples[offset + j * n..offset + (j + 1) * n];
-        match decide(correlate_window(window, code), tau) {
-            BitDecision::One => {
-                frame.bits.push(true);
-                frame.erased.push(false);
-            }
-            BitDecision::Zero => {
-                frame.bits.push(false);
-                frame.erased.push(false);
-            }
-            BitDecision::Erased => {
-                frame.bits.push(false);
-                frame.erased.push(true);
-            }
-        }
+        frame.push(decide(correlate_window(window, code), tau));
     }
     true
 }

@@ -117,9 +117,10 @@ fn scan_all_hit_lists_are_identical_on_fixed_seeds() {
 }
 
 /// Whole receiver scenarios through the chip-medium kernel: the blocked
-/// word-parallel `ChipChannel::render` and the fused render→despread path
-/// must match the chip-at-a-time channel oracle composed with the
-/// materialised despread, bit for bit, on a noisy many-transmission medium.
+/// word-parallel `ChipChannel::render` and the chip-domain despread
+/// (`despread_from_channel`, which renders nothing) must match the
+/// chip-at-a-time channel oracle composed with the materialised despread,
+/// bit for bit, on a noisy many-transmission medium.
 #[test]
 fn channel_render_and_fused_despread_match_reference_end_to_end() {
     use jrsnd_dsss::channel::{self, ChipChannel};
@@ -142,11 +143,11 @@ fn channel_render_and_fused_despread_match_reference_end_to_end() {
         assert_eq!(packed, scalar, "render diverged from oracle at seed {seed}");
 
         for code in &codes {
-            let fused = despread_from_channel(&chan, 0, code, msg.len(), 0.30);
+            let chip_domain = despread_from_channel(&chan, 0, code, msg.len(), 0.30);
             let materialised = despread_levels(&packed[..msg.len() * n], code, 0.30);
             assert_eq!(
-                fused, materialised,
-                "fused despread diverged at seed {seed}"
+                chip_domain, materialised,
+                "chip-domain despread diverged at seed {seed}"
             );
         }
     }
